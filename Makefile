@@ -1,6 +1,6 @@
 # Convenience targets for the repro project.
 
-.PHONY: install test test-equivalence test-chaos test-io-fuzz test-conformance bench bench-smoke bench-bucketing bench-dedup bench-parallel bench-serve bench-ensemble bench-full report examples clean
+.PHONY: install test test-equivalence test-chaos test-io-fuzz test-conformance bench bench-smoke bench-e2e-smoke bench-bucketing bench-dedup bench-parallel bench-serve bench-ensemble bench-full report examples clean
 
 install:
 	pip install -e .
@@ -39,6 +39,12 @@ bench-smoke:
 	pytest benchmarks/test_substrate_microbench.py benchmarks/test_bucketing_bench.py benchmarks/test_dedup_bench.py -m bench_smoke -q
 	REPRO_NN_BACKEND=fused pytest tests/nn/test_bucketing.py tests/inference/ -q
 	REPRO_NN_BACKEND=graph pytest tests/nn/test_bucketing.py tests/inference/ -q
+
+# End-to-end benchmark smoke run (perfbench/): every workload at tiny
+# size, traced and untraced, checking the result record's shape, units
+# and output checks (about two minutes on two cores).
+bench-e2e-smoke:
+	python3 perfbench/smoke.py
 
 # Bucketed-batching speedup gate alone (writes BENCH_bucketing.json).
 bench-bucketing:

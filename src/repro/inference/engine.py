@@ -351,6 +351,14 @@ class InferenceEngine:
             precision-tagged keys, so modes never serve each other's
             entries.
         """
+        if getattr(self.model, "training", False):
+            # In train mode BatchNorm normalises with the statistics of
+            # the chunk being scored, so a row's score would depend on
+            # which other rows share its chunk (and on the dedup and
+            # cache hits that shape it).
+            raise ConfigurationError(
+                "InferenceEngine needs a model in eval mode; call "
+                "model.eval() after training")
         workers = self.workers if workers is None else workers
         precision = self.precision if precision is None else precision
         _validate_precision(precision)

@@ -70,11 +70,7 @@ class ETSBRNN(Module):
         for key in ("values", "attributes", "length_norm"):
             if key not in features:
                 raise ConfigurationError(f"ETSBRNN requires a {key!r} feature")
-        indices = features["values"]
-        mask = self.embedding.padding_mask(indices)
-        if mask is not None and not mask.any(axis=1).all():
-            mask = mask.copy()
-            mask[~mask.any(axis=1), 0] = True
+        indices, mask = self.embedding.sequence_input(features["values"])
         value_encoded = self.birnn(self.embedding(indices), mask=mask)
 
         attr_indices = np.asarray(features["attributes"]).reshape(-1, 1)

@@ -50,14 +50,7 @@ class TSBRNN(Module):
         """The shared trunk: everything up to (excluding) the classifier."""
         if "values" not in features:
             raise ConfigurationError("TSBRNN requires a 'values' feature")
-        indices = features["values"]
-        mask = self.embedding.padding_mask(indices)
-        if mask is not None and not mask.any(axis=1).all():
-            # Fully padded rows (empty cell values) would never update the
-            # RNN state; give them one live step so the final state is the
-            # learned response to "empty".
-            mask = mask.copy()
-            mask[~mask.any(axis=1), 0] = True
+        indices, mask = self.embedding.sequence_input(features["values"])
         embedded = self.embedding(indices)
         encoded = self.birnn(embedded, mask=mask)
         return self.norm(self.head(encoded))

@@ -16,18 +16,33 @@ values are bit-for-bit identical across backends.
 Masking follows the repository-wide convention: ``mask`` is a boolean
 ``(batch, time)`` array where ``False`` marks padding; on a padded step a
 row's state is carried over unchanged (and gradients flow straight
-through to the previous step).
+through to the previous step).  The kernels take right-padded masks only
+-- each row live for a prefix of its steps, as the data pipeline builds
+them -- and raise :class:`~repro.errors.ShapeError` for any other.
 
-Effective lengths: the data-preparation pipeline right-pads, so a batch
-whose longest value is far shorter than the array width ends in a block
-of steps that are padding for *every* row.  Each kernel detects that
-block (:func:`_effective_width`), stops its time loop at the last step
-any row is live, and fills the tail analytically -- the carried state for
-the forward direction, the untouched zero initial state for the reverse
-direction.  The backward pass mirrors the trim: tail gradients are folded
-into the carried-state gradient in the same accumulation order the
-full-width loop would have used, so forward values stay bit-for-bit
-identical and gradients agree to float-accumulation order.
+Packed execution: each call sorts the batch's rows by length, longest
+first, once (:class:`_Packing`).  With right padding the rows still live
+at step ``t`` are then a prefix of that order in either direction, so the
+time loop runs the recurrent GEMM, the activation and the BPTT update on
+those ``n_t`` rows only.  A row past its end carries its state (forward
+direction) or keeps the zero initial state (reverse direction) with no
+arithmetic; its padding cells are written once after the loop.  The loop
+stops at the last step any row is live, so an all-padding tail costs
+nothing.  A batch already in length order is stepped in place; any other
+gathers its live cells once, and the input projection runs on those
+cells only.
+
+BLAS row rule: a one-row GEMM runs a different microkernel whose bits can
+differ from the many-row path by an ulp, so a step with a single live row
+still runs its GEMM over :data:`MIN_GEMM_ROWS` rows, borrowing a dead
+neighbour whose result is dropped (the rule the work plane and the
+inference engine's single-row padding rely on too).  Because a GEMM's
+rows do not depend on each other, packed states are bit-for-bit those of
+a dense loop.  The batch-level GEMMs of the backward (``dw_h``, ``dw_x``,
+``dx``, ``db``) sum over all cells, so they keep running on the batch's
+own row order with zero gradients on padding: gradients are identical to
+the unpacked kernels' and agree with the graph backend to
+float-accumulation order.
 
 Kernels
 -------
@@ -42,6 +57,7 @@ Kernels
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 
@@ -108,15 +124,6 @@ def _instrumented(cls: type[Function]) -> type[Function]:
     return cls
 
 
-def _classify_steps(mask: np.ndarray | None, n_steps: int
-                    ) -> tuple[list[bool], list[bool]]:
-    """Per-step liveness: (any row live, all rows live)."""
-    if mask is None:
-        live = [True] * n_steps
-        return live, live
-    return mask.any(axis=0).tolist(), mask.all(axis=0).tolist()
-
-
 def _check_sequence(x: np.ndarray, mask: np.ndarray | None) -> None:
     if x.ndim != 3:
         raise ShapeError(f"sequence kernels expect (batch, time, dim), got {x.shape}")
@@ -126,55 +133,246 @@ def _check_sequence(x: np.ndarray, mask: np.ndarray | None) -> None:
         )
 
 
-def _time_order(n_steps: int, reverse: bool) -> list[int]:
-    return list(range(n_steps - 1, -1, -1)) if reverse else list(range(n_steps))
+#: Rows a recurrent or projection GEMM never goes below.  BLAS runs a
+#: one-row operand through a different microkernel whose accumulation can
+#: differ from the GEMM path by an ulp (see
+#: :func:`repro.inference.engine.pad_single_row`), so a step with a single
+#: live row borrows a neighbouring row for the product and drops its
+#: result.  A batch of one row has nothing to borrow and never had.
+MIN_GEMM_ROWS = 2
 
 
-def _effective_width(any_live: list[bool], n_steps: int) -> int:
-    """Steps up to (and including) the last one where any row is live.
+class _Packing:
+    """The live-cell schedule of one mask (immutable; see :meth:`of`).
 
-    Steps beyond the width are padding for every row: the forward pass
-    carries state straight through them and the backward pass passes
-    gradients through unchanged, so the kernels handle the whole tail in
-    closed form instead of looping over it.  A fully padded batch keeps a
-    width of 1 so the (dead) loop still establishes the initial state.
+    Rows are ordered by length, longest first.  Masks are right-padded
+    (a row is live for a prefix of its steps), so in that order the rows
+    still live at step ``t`` are a prefix in either direction: ``n_t``
+    rows, shrinking with ``t``.  Carried states ``(batch, dim)`` are kept
+    in that packed row order, where step ``t``'s live rows are the slice
+    ``live``.
+
+    Per-cell tables (input projection, states, backward tables and
+    gradients) take one of two layouts:
+
+    * *in place*, when the batch's rows already come in length order --
+      descending, or ascending as the inference engine and the work plane
+      build them (the live rows are then a suffix).  Tables are
+      batch-order ``(batch, width, dim)`` arrays and step ``t``'s cells
+      are ``table[live, t]``: no gather, no scatter.
+    * *packed* otherwise.  Tables hold the live cells only, ``(n_cells,
+      dim)``, step after step; step ``t``'s cells are one contiguous
+      slice.  :attr:`cells` indexes the same cells in batch-order arrays,
+      for one gather of each input and one scatter of each output.
+
+    Each entry of :meth:`steps` is ``(t, key, live, gemm, enter,
+    enter_rows)``: ``key`` selects the step's cells in a table, ``gemm``
+    is ``live`` widened to :data:`MIN_GEMM_ROWS` rows, and ``enter``
+    (packed) / ``enter_rows`` (batch order) are the rows live at ``t``
+    but not at ``t + 1``.
     """
-    for t in range(n_steps - 1, -1, -1):
-        if any_live[t]:
-            return t + 1
-    return 1
 
+    def __init__(self, mask: np.ndarray | None, batch: int,
+                 n_steps: int) -> None:
+        self.batch, self.n_steps = batch, n_steps
+        self.order = None
+        suffix = False
+        if mask is None or mask.all():
+            self.lengths, self.padded, self.width = None, False, n_steps
+            counts = [batch] * n_steps
+        else:
+            lengths = np.count_nonzero(mask, axis=1)
+            if not np.array_equal(mask,
+                                  np.arange(n_steps) < lengths[:, None]):
+                raise ShapeError(
+                    "fused sequence kernels need right-padded masks (each "
+                    "row live for a prefix of its steps)")
+            self.lengths, self.padded = lengths, True
+            #: Steps up to the last one where any row is live; beyond it
+            #: every row is padding.  A fully padded batch keeps width 1.
+            self.width = max(int(lengths.max()), 1)
+            change = np.diff(lengths)
+            if (change > 0).any():
+                if (change < 0).any():
+                    self.order = np.argsort(-lengths, kind="stable")
+                else:
+                    suffix = True
+            packed = lengths if self.order is None else lengths[self.order]
+            live_cells = packed > np.arange(self.width)[:, None]
+            counts = np.count_nonzero(live_cells, axis=1).tolist()
+            if self.order is not None:
+                times, positions = np.nonzero(live_cells)
+                self.cells = (self.order[positions], times)
+                self.n_cells = times.shape[0]
+        self.in_place = self.order is None
 
-def _fill_tail(states: np.ndarray, width: int, reverse: bool,
-               h: np.ndarray) -> None:
-    """Write the analytic tail states for steps beyond ``width``.
+        counts.append(0)
+        self._steps = []
+        start = 0
+        for t in range(self.width):
+            n, n_next = counts[t], counts[t + 1]
+            if n == 0:
+                continue  # only a fully padded batch has a dead step
+            k = min(max(n, MIN_GEMM_ROWS), batch)
+            if suffix:
+                live, gemm = slice(batch - n, batch), slice(batch - k, batch)
+                enter = slice(batch - n, batch - n_next)
+            else:
+                live, gemm = slice(0, n), slice(0, k)
+                enter = slice(n_next, n)
+            if self.in_place:
+                self._steps.append((t, (live, t), live, gemm, enter, enter))
+            else:
+                self._steps.append((t, slice(start, start + n), live, gemm,
+                                    enter, self.order[enter]))
+            start += n
 
-    Forward order carries the final live state through the dead tail;
-    reverse order visits the tail first and never leaves the zero initial
-    state.  Matches the full-width loop bit for bit.
-    """
-    if width >= states.shape[1]:
-        return
-    if reverse:
-        states[:, width:] = 0.0
-    else:
-        states[:, width:] = h[:, None, :]
+    @staticmethod
+    @functools.lru_cache(maxsize=8)
+    def _cached(batch: int, n_steps: int, mask_bytes: bytes | None
+                ) -> "_Packing":
+        mask = (None if mask_bytes is None else
+                np.frombuffer(mask_bytes, dtype=bool).reshape(batch, n_steps))
+        return _Packing(mask, batch, n_steps)
 
+    @staticmethod
+    def of(mask: np.ndarray | None, batch: int, n_steps: int) -> "_Packing":
+        """The schedule for ``mask``, shared by every call on it.
 
-def _tail_grad(dh: np.ndarray, grad: np.ndarray, width: int,
+        Every level of a stacked bidirectional encoder runs on the same
+        mask, and serving repeats a few small shapes, so schedules are
+        memoised on the mask's bytes; nothing writes to one after it is
+        built.
+        """
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
+        key = None if mask is None or mask.all() else mask.tobytes()
+        return _Packing._cached(batch, n_steps, key)
+
+    def steps(self, reverse: bool) -> list[tuple]:
+        """Live steps in the forward pass's iteration order."""
+        return self._steps[::-1] if reverse else self._steps
+
+    def trim(self, x: np.ndarray) -> np.ndarray:
+        """The live window ``x[:, :width]`` (no copy)."""
+        return x[:, :self.width] if self.width < x.shape[1] else x
+
+    def table(self, dim: int) -> np.ndarray:
+        """A fresh per-cell table (kept for the backward pass).
+
+        In place, its padding cells are zero so whole-table derivative
+        ops stay finite.
+        """
+        if self.in_place:
+            return np.zeros((self.batch, self.width, dim))
+        return np.empty((self.n_cells, dim))
+
+    def scratch(self, key: str, dim: int, zeros: bool = False) -> np.ndarray:
+        """A call-local per-cell table from the scratch pool."""
+        n = self.batch * self.width if self.in_place else self.n_cells
+        array = _scratch.rows(key, n, dim)
+        if zeros:
+            array.fill(0.0)
+        if self.in_place:
+            return array.reshape(self.batch, self.width, dim)
+        return array
+
+    def gather(self, sequence: np.ndarray) -> np.ndarray:
+        """The live cells of a batch-order ``(batch, time, dim)`` array."""
+        return sequence if self.in_place else sequence[self.cells]
+
+    def to_batch(self, table: np.ndarray, key: str) -> np.ndarray:
+        """A gradient table in batch order ``(batch, width, dim)``, zero
+        on padding (scratch when packed)."""
+        if self.in_place:
+            return table
+        out = _scratch.rows(key, self.batch * self.width, table.shape[-1])
+        out = out.reshape(self.batch, self.width, table.shape[-1])
+        out.fill(0.0)
+        out[self.cells] = table
+        return out
+
+    def projection(self, x: np.ndarray, w_x: np.ndarray, b_h: np.ndarray,
+                   key: str) -> np.ndarray:
+        """``x @ w_x + b`` for every live cell (scratch table).
+
+        A GEMM's rows do not depend on each other, so packed cells get
+        the bits the batch-order projection would give them.
+        """
+        if self.in_place:
+            x = self.trim(x)
+            proj = self.scratch(key, w_x.shape[-1])
+            if self.width == 1:
+                # The batched (batch, 1, in) @ (in, out) matmul runs one
+                # GEMV per row, whose accumulation can differ from the
+                # m >= 2 GEMM path by an ulp.  One flat (batch, in) GEMM
+                # keeps a row's projection bits identical to its value
+                # inside any wider chunk, so results cannot depend on how
+                # rows were grouped into batches.
+                np.matmul(x[:, 0], w_x, out=proj[:, 0])
+            else:
+                np.matmul(x, w_x, out=proj)
+        else:
+            x_cells = x[self.cells]
+            if self.n_cells < MIN_GEMM_ROWS:
+                x_cells = np.concatenate([x_cells] * MIN_GEMM_ROWS)
+            proj = _scratch.rows(key, x_cells.shape[0], w_x.shape[-1])
+            np.matmul(x_cells, w_x, out=proj)
+            proj = proj[:self.n_cells]
+        proj += b_h
+        return proj
+
+    def unpack(self, out: np.ndarray, states: np.ndarray, h: np.ndarray,
                reverse: bool) -> None:
-    """Fold the dead tail's incoming gradients into the carried ``dh``.
+        """Complete the batch-order output ``out`` from the state table.
 
-    For the forward direction the full-width backward loop would visit
-    the tail first (descending t) and accumulate ``grad[:, t]`` into the
-    pass-through state gradient; replicate that order exactly.  For the
-    reverse direction the tail states are the constant initial state, so
-    their gradients are discarded -- as the full loop does.
-    """
-    if reverse:
-        return
-    for t in range(grad.shape[1] - 1, width - 1, -1):
-        dh += grad[:, t]
+        Padding cells: forward, a row carries its last state ``h``
+        (packed rows) through its padding; reversed, its padding comes
+        before its first live step and keeps the zero initial state.
+        """
+        if not self.in_place:
+            out[self.cells] = states
+        if not self.padded:
+            return
+        dead = np.arange(self.n_steps) >= self.lengths[:, None]
+        if reverse:
+            out[dead] = 0.0
+            return
+        final = h
+        if self.order is not None:
+            final = np.empty_like(h)
+            final[self.order] = h
+        out[dead] = np.repeat(final, self.n_steps - self.lengths, axis=0)
+
+    def padding_grads(self, grad: np.ndarray, reverse: bool,
+                      key: str) -> np.ndarray | None:
+        """Batch-order sums of the gradients reaching padding cells.
+
+        Forward, a row's padding cells hold its carried final state, so
+        their gradients accumulate -- latest step first, the order a
+        full-width loop visits them -- into the state gradient the row
+        enters its last live step with.  The returned accumulator already
+        holds the all-padding tail beyond the width; :meth:`add_grads`
+        adds the rest.  Reversed, padding holds the constant initial
+        state and its gradients are dropped (``None``).
+        """
+        if reverse:
+            return None
+        acc = _scratch.zeros(key, (self.batch, grad.shape[-1]))
+        for t in range(self.n_steps - 1, self.width - 1, -1):
+            acc += grad[:, t]
+        return acc
+
+    def add_grads(self, dh: np.ndarray, acc: np.ndarray | None,
+                  grad: np.ndarray, grad_cells: np.ndarray,
+                  step: tuple) -> None:
+        """Fold step ``t``'s output gradients into the carried ``dh``."""
+        t, key, live, _, enter, enter_rows = step
+        if acc is not None:
+            dh[enter] = acc[enter_rows]
+            if live.stop - live.start < self.batch:
+                acc += grad[:, t]
+        np.add(dh[live], grad_cells[key], out=dh[live])
 
 
 class _ScratchPool(threading.local):
@@ -202,54 +400,55 @@ class _ScratchPool(threading.local):
             self._arrays[slot] = array
         return array
 
+    def zeros(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
+        array = self.get(key, shape)
+        array.fill(0.0)
+        return array
+
+    def rows(self, key: str, n: int, width: int) -> np.ndarray:
+        """An ``(n, width)`` array for per-cell tables, whose row count
+        changes from call to call: one buffer per key and width, grown to
+        the largest ``n`` seen."""
+        slot = (key, (width,))
+        array = self._arrays.get(slot)
+        if array is None or array.shape[0] < n:
+            array = np.empty((n, width))
+            self._arrays[slot] = array
+        return array[:n]
+
 
 _scratch = _ScratchPool()
 
 
-def _shift_prev(sequence: np.ndarray, order: list[int], key: str) -> np.ndarray:
+def _shift_prev(sequence: np.ndarray, reverse: bool, key: str) -> np.ndarray:
     """``prev[:, t]`` = the state one *iteration* before step ``t``.
 
     The earliest step in iteration order gets the all-zeros initial state.
-    Dead (fully padded) steps may hold stale values; their ``dproj`` rows
-    are zero, so they never contribute to the weight gradient.
+    Padding cells may hold any value: their ``dproj`` rows are zero, so
+    they never contribute to the weight gradient.
     """
     prev = _scratch.get(key, sequence.shape)
-    if order[0] == 0:  # forward iteration order
-        prev[:, 0] = 0.0
-        prev[:, 1:] = sequence[:, :-1]
-    else:  # reverse iteration order
+    if reverse:
         prev[:, -1] = 0.0
         prev[:, :-1] = sequence[:, 1:]
+    else:
+        prev[:, 0] = 0.0
+        prev[:, 1:] = sequence[:, :-1]
     return prev
 
 
-def _dproj_scratch(key: str, shape: tuple[int, ...],
-                   any_live: list[bool]) -> np.ndarray:
-    """Pre-activation grad buffer: live steps are fully overwritten by the
-    backward loops, so only dead (fully padded) steps need explicit zeros."""
-    dproj = _scratch.get(key, shape)
-    for t, live in enumerate(any_live):
-        if not live:
-            dproj[:, t] = 0.0
-    return dproj
+def _live_matmul(a: np.ndarray, w: np.ndarray, out: np.ndarray,
+                 live: slice, gemm: slice, spare: np.ndarray) -> None:
+    """``out[live] = a[live] @ w``, with the GEMM run over the ``gemm`` rows.
 
-
-def _projection(x: np.ndarray, w_x: np.ndarray, b_h: np.ndarray,
-                key: str) -> np.ndarray:
-    """``x @ w_x + b`` for the whole sequence, staged in scratch."""
-    batch, n_steps, _ = x.shape
-    proj = _scratch.get(key, (batch, n_steps, w_x.shape[-1]))
-    if n_steps == 1:
-        # The batched (batch, 1, in) @ (in, out) matmul runs one GEMV per
-        # row, whose accumulation can differ from the m >= 2 GEMM path by
-        # an ulp.  One flat (batch, in) GEMM keeps a row's projection
-        # bits identical to its value inside any wider chunk, so results
-        # cannot depend on how rows were grouped into batches.
-        np.matmul(x[:, 0], w_x, out=proj[:, 0])
+    When ``gemm`` borrows a row beyond ``live`` its product lands in
+    ``spare`` and is dropped, so the borrowed row's ``out`` is untouched.
+    """
+    if gemm == live:
+        np.matmul(a[live], w, out=out[live])
     else:
-        np.matmul(x, w_x, out=proj)
-    proj += b_h
-    return proj
+        np.matmul(a[gemm], w, out=spare[gemm])
+        out[live] = spare[live]
 
 
 def _recurrent_weight_grad(prev: np.ndarray, dproj: np.ndarray) -> np.ndarray:
@@ -308,36 +507,28 @@ class RNNLevelFunction(Function):
         _check_sequence(x, mask)
         batch, n_steps, _ = x.shape
         units = w_h.shape[0]
-        any_live, all_live = _classify_steps(mask, n_steps)
-        width = _effective_width(any_live, n_steps)
-        x_w = x[:, :width] if width < n_steps else x
-        proj = _projection(x_w, w_x, b_h, "rnn.proj")
-        order = _time_order(width, reverse)
+        packing = _Packing.of(mask, batch, n_steps)
+        proj = packing.projection(x, w_x, b_h, "rnn.proj")
 
-        # ``rec`` is preallocated scratch for the recurrent projection; the
-        # activation writes straight into the ``states[:, t]`` slice and the
-        # carried ``h`` is a view into it, so the fully-live fast path
-        # allocates nothing per step.
+        # ``h`` carries every row's state in packed row order; the step's
+        # GEMM lands in ``rec`` and the activation writes the live rows'
+        # new states into ``h`` and the state table ``hs`` (the output
+        # itself when in place).
         states = np.empty((batch, n_steps, units))
+        hs = (packing.trim(states) if packing.in_place
+              else packing.table(units))
+        h = _scratch.zeros("rnn.h", (batch, units))
         rec = _scratch.get("rnn.rec", (batch, units))
-        h = np.zeros((batch, units))
-        for t in order:
-            if not any_live[t]:
-                states[:, t] = h
-                continue
-            np.matmul(h, w_h, out=rec)
-            rec += proj[:, t]
-            if all_live[t]:
-                h = np.tanh(rec, out=states[:, t])
-            else:
-                h = np.where(mask[:, t:t + 1], np.tanh(rec), h)
-                states[:, t] = h
-        _fill_tail(states, width, reverse, h)
+        for _, key, live, gemm, _, _ in packing.steps(reverse):
+            np.matmul(h[gemm], w_h, out=rec[gemm])
+            np.add(rec[live], proj[key], out=rec[live])
+            hs[key] = np.tanh(rec[live], out=h[live])
+        packing.unpack(states, hs, h, reverse)
 
-        ctx.x, ctx.x_shape, ctx.w_x, ctx.w_h = x_w, x.shape, w_x, w_h
-        ctx.states, ctx.mask, ctx.order = states, mask, order
-        ctx.any_live, ctx.all_live = any_live[:width], all_live[:width]
-        ctx.width, ctx.reverse = width, reverse
+        ctx.x, ctx.x_shape, ctx.w_x, ctx.w_h = (packing.trim(x), x.shape,
+                                                w_x, w_h)
+        ctx.states, ctx.hs, ctx.packing = states, hs, packing
+        ctx.width, ctx.reverse = packing.width, reverse
         return states
 
     @staticmethod
@@ -351,55 +542,46 @@ class RNNLevelFunction(Function):
                      ) -> tuple[np.ndarray, ...]:
         """Row-local half of the backward: the BPTT time loop.
 
-        Produces the pre-activation gradient ``dproj`` (scratch) over the
-        live window.  Every operation here is row-wise, so the parallel
-        plane can run it per length group and assemble the groups' results
-        into the full-batch ``dproj`` the serial path would have built.
+        Produces the pre-activation gradient ``dproj`` (scratch, batch
+        order, zero on padding) over the live window.  Every operation
+        here is row-wise, so the parallel plane can run it per length
+        group and assemble the groups' results into the full-batch
+        ``dproj`` the serial path would have built.
         """
-        states, mask, order = ctx.states, ctx.mask, ctx.order
-        w_h, width = ctx.w_h, ctx.width
-        batch, _, units = states.shape
-        states_w = states[:, :width]
+        hs, packing, w_h = ctx.hs, ctx.packing, ctx.w_h
+        batch, units = packing.batch, w_h.shape[0]
 
-        # tanh' over the live window at once, staged in scratch.
-        deriv = np.multiply(states_w, states_w,
-                            out=_scratch.get("rnn.deriv", states_w.shape))
+        # tanh' of the whole state table at once, staged in scratch.
+        deriv = np.multiply(hs, hs, out=packing.scratch("rnn.deriv", units))
         np.subtract(1.0, deriv, out=deriv)
+        grad_cells = packing.gather(grad)
         w_h_t = np.ascontiguousarray(w_h.T)
-        # ``dpre`` lands directly in its ``dproj[:, t]`` slice; the carried
-        # ``dh`` lives in a single scratch buffer (never an input of the
-        # GEMM that overwrites it, so no ping-pong is needed).
-        dproj = _dproj_scratch("rnn.dproj", states_w.shape, ctx.any_live)
-        buf = _scratch.get("rnn.dh", (batch, units))
-        dh = np.zeros((batch, units))
-        _tail_grad(dh, grad, width, ctx.reverse)
-        for idx in range(len(order) - 1, -1, -1):
-            t = order[idx]
-            dh += grad[:, t]
-            if not ctx.any_live[t]:
-                continue  # state carried over: gradient passes through
-            dpre = np.multiply(dh, deriv[:, t], out=dproj[:, t])
-            if ctx.all_live[t]:
-                dh = np.matmul(dpre, w_h_t, out=buf)
-            else:
-                live = mask[:, t:t + 1]
-                dpre *= live
-                dh = dpre @ w_h_t + dh * ~live
-        return (dproj,)
+        # Packed-row carries: the state gradient and the step's dpre.
+        dh = _scratch.zeros("rnn.dh", (batch, units))
+        dpre = _scratch.zeros("rnn.dpre", (batch, units))
+        spare = _scratch.get("rnn.spare", (batch, units))
+        dproj = packing.scratch("rnn.dproj", units, zeros=packing.in_place)
+        acc = packing.padding_grads(grad, ctx.reverse, "rnn.acc")
+        for step in reversed(packing.steps(ctx.reverse)):
+            _, key, live, gemm, _, _ = step
+            packing.add_grads(dh, acc, grad, grad_cells, step)
+            dproj[key] = np.multiply(dh[live], deriv[key], out=dpre[live])
+            _live_matmul(dpre, w_h_t, dh, live, gemm, spare)
+        return (packing.to_batch(dproj, "level.dproj"),)
 
     @staticmethod
     def _finish(ctx: FunctionCtx, dproj: np.ndarray
                 ) -> tuple[np.ndarray | None, ...]:
         """Batch-level tail: weight and input gradients from ``dproj``.
 
-        The exact GEMM expressions of the serial backward, so calling this
-        on an assembled full-batch ``dproj`` (parallel plane) reproduces
-        the serial gradients.
+        The exact GEMM expressions of the serial backward, run in batch
+        row order, so calling this on an assembled full-batch ``dproj``
+        (parallel plane) reproduces the serial gradients.
         """
         states_w = ctx.states[:, :ctx.width]
         if ctx.needs_input_grad[2]:
             dw_h = _recurrent_weight_grad(
-                _shift_prev(states_w, ctx.order, "rnn.prev"), dproj)
+                _shift_prev(states_w, ctx.reverse, "rnn.prev"), dproj)
         else:
             dw_h = None
         dx, dw_x, db = _input_grads(dproj, ctx.x, ctx.w_x, ctx, ctx.x_shape)
@@ -423,51 +605,39 @@ class LSTMLevelFunction(Function):
         _check_sequence(x, mask)
         batch, n_steps, _ = x.shape
         units = w_h.shape[0]
-        any_live, all_live = _classify_steps(mask, n_steps)
-        width = _effective_width(any_live, n_steps)
-        x_w = x[:, :width] if width < n_steps else x
-        proj = _projection(x_w, w_x, b_h, "lstm.proj")
-        order = _time_order(width, reverse)
+        packing = _Packing.of(mask, batch, n_steps)
+        proj = packing.projection(x, w_x, b_h, "lstm.proj")
 
-        # Only ``h_seq`` is externally visible; the backward-pass tables
-        # cover just the live window.
+        # Only the hidden sequence is externally visible; the backward
+        # tables (see ``_Packing``) cover the live cells.
         h_seq = np.empty((batch, n_steps, units))
-        c_seq = np.empty((batch, width, units))
-        acts = np.zeros((batch, width, 4 * units))   # i, f, g, o
-        tanh_c = np.zeros((batch, width, units))
-        h = np.zeros((batch, units))
-        c = np.zeros((batch, units))
-        for t in order:
-            if not any_live[t]:
-                h_seq[:, t], c_seq[:, t] = h, c
-                continue
-            gates = proj[:, t] + h @ w_h
-            i = _sigmoid(gates[:, :units])
-            f = _sigmoid(gates[:, units:2 * units])
-            g = np.tanh(gates[:, 2 * units:3 * units])
-            o = _sigmoid(gates[:, 3 * units:])
-            c_raw = f * c + i * g
-            tc = np.tanh(c_raw)
-            h_raw = o * tc
-            if all_live[t]:
-                h, c = h_raw, c_raw
-            else:
-                live = mask[:, t:t + 1]
-                h = np.where(live, h_raw, h)
-                c = np.where(live, c_raw, c)
-            h_seq[:, t], c_seq[:, t] = h, c
-            acts[:, t, :units] = i
-            acts[:, t, units:2 * units] = f
-            acts[:, t, 2 * units:3 * units] = g
-            acts[:, t, 3 * units:] = o
-            tanh_c[:, t] = tc
-        _fill_tail(h_seq, width, reverse, h)
+        hs = (packing.trim(h_seq) if packing.in_place
+              else packing.scratch("lstm.hs", units))
+        acts = packing.table(4 * units)   # i, f, g, o
+        tanh_c = packing.table(units)
+        c_prev = packing.table(units)
+        h = _scratch.zeros("lstm.h", (batch, units))
+        c = _scratch.zeros("lstm.c", (batch, units))
+        rec = _scratch.get("lstm.rec", (batch, 4 * units))
+        for _, key, live, gemm, _, _ in packing.steps(reverse):
+            np.matmul(h[gemm], w_h, out=rec[gemm])
+            gates = proj[key] + rec[live]
+            act = acts[key]
+            act[:, :units] = _sigmoid(gates[:, :units])
+            act[:, units:2 * units] = _sigmoid(gates[:, units:2 * units])
+            act[:, 2 * units:3 * units] = np.tanh(gates[:, 2 * units:3 * units])
+            act[:, 3 * units:] = _sigmoid(gates[:, 3 * units:])
+            c_prev[key] = c[live]
+            c[live] = (act[:, units:2 * units] * c[live]
+                       + act[:, :units] * act[:, 2 * units:3 * units])
+            tc = np.tanh(c[live], out=tanh_c[key])
+            hs[key] = np.multiply(act[:, 3 * units:], tc, out=h[live])
+        packing.unpack(h_seq, hs, h, reverse)
 
-        ctx.x, ctx.x_shape, ctx.w_x, ctx.w_h = x_w, x.shape, w_x, w_h
-        ctx.h_seq, ctx.c_seq, ctx.acts, ctx.tanh_c = h_seq, c_seq, acts, tanh_c
-        ctx.mask, ctx.order = mask, order
-        ctx.any_live, ctx.all_live = any_live[:width], all_live[:width]
-        ctx.width, ctx.reverse = width, reverse
+        ctx.x, ctx.x_shape, ctx.w_x, ctx.w_h = (packing.trim(x), x.shape,
+                                                w_x, w_h)
+        ctx.h_seq, ctx.acts, ctx.tanh_c, ctx.c_prev = h_seq, acts, tanh_c, c_prev
+        ctx.packing, ctx.width, ctx.reverse = packing, packing.width, reverse
         return h_seq
 
     @staticmethod
@@ -480,57 +650,50 @@ class LSTMLevelFunction(Function):
     def _local_grads(ctx: FunctionCtx, grad: np.ndarray
                      ) -> tuple[np.ndarray, ...]:
         """Row-local half of the backward (see ``RNNLevelFunction``)."""
-        h_seq, c_seq, acts, tanh_c = ctx.h_seq, ctx.c_seq, ctx.acts, ctx.tanh_c
-        mask, order, w_h, width = ctx.mask, ctx.order, ctx.w_h, ctx.width
-        batch, _, units = h_seq.shape
+        acts, tanh_c, c_prev = ctx.acts, ctx.tanh_c, ctx.c_prev
+        packing, w_h = ctx.packing, ctx.w_h
+        batch, units = packing.batch, w_h.shape[0]
 
-        # Whole-sequence precomputation: sigmoid'/tanh' factors and the
-        # previous-state sequences (big vectorized ops beat per-step ones),
-        # all staged in warm scratch buffers.
-        sig_deriv = _scratch.get("lstm.sigd", acts.shape)
+        # Whole-table precomputation: sigmoid'/tanh' factors (big
+        # vectorized ops beat per-step ones), staged in warm scratch.
+        sig_deriv = packing.scratch("lstm.sigd", 4 * units)
         np.subtract(1.0, acts, out=sig_deriv)
         np.multiply(acts, sig_deriv, out=sig_deriv)  # i, f, o slices valid
-        g_all = acts[:, :, 2 * units:3 * units]
-        g_deriv = _scratch.get("lstm.gd", g_all.shape)
+        g_all = acts[..., 2 * units:3 * units]
+        g_deriv = packing.scratch("lstm.gd", units)
         np.multiply(g_all, g_all, out=g_deriv)
         np.subtract(1.0, g_deriv, out=g_deriv)
-        tc_deriv = _scratch.get("lstm.tcd", tanh_c.shape)
+        tc_deriv = packing.scratch("lstm.tcd", units)
         np.multiply(tanh_c, tanh_c, out=tc_deriv)
         np.subtract(1.0, tc_deriv, out=tc_deriv)
-        c_prev_seq = _shift_prev(c_seq, order, "lstm.cprev")
+        grad_cells = packing.gather(grad)
         w_h_t = np.ascontiguousarray(w_h.T)
 
-        dproj = _dproj_scratch("lstm.dproj", (batch, width, 4 * units),
-                               ctx.any_live)
-        dh = np.zeros((batch, units))
-        dc = np.zeros((batch, units))
-        _tail_grad(dh, grad, width, ctx.reverse)
-        for idx in range(len(order) - 1, -1, -1):
-            t = order[idx]
-            dh += grad[:, t]
-            if not ctx.any_live[t]:
-                continue
-            i = acts[:, t, :units]
-            f = acts[:, t, units:2 * units]
-            o = acts[:, t, 3 * units:]
-            if ctx.all_live[t]:
-                dh_live, dc_live = dh, dc
-                dh_dead = dc_dead = 0.0
-            else:
-                live = mask[:, t:t + 1]
-                dh_live, dc_live = dh * live, dc * live
-                dh_dead, dc_dead = dh * ~live, dc * ~live
-            do = dh_live * tanh_c[:, t]
-            dc_raw = dc_live + dh_live * o * tc_deriv[:, t]
-            dgates = dproj[:, t]
-            dgates[:, :units] = dc_raw * g_all[:, t] * sig_deriv[:, t, :units]
-            dgates[:, units:2 * units] = (dc_raw * c_prev_seq[:, t]
-                                          * sig_deriv[:, t, units:2 * units])
-            dgates[:, 2 * units:3 * units] = dc_raw * i * g_deriv[:, t]
-            dgates[:, 3 * units:] = do * sig_deriv[:, t, 3 * units:]
-            dh = dgates @ w_h_t + dh_dead
-            dc = dc_raw * f + dc_dead
-        return (dproj,)
+        dh = _scratch.zeros("lstm.dh", (batch, units))
+        dc = _scratch.zeros("lstm.dc", (batch, units))
+        dgates = _scratch.zeros("lstm.dgates", (batch, 4 * units))
+        spare = _scratch.get("lstm.spare", (batch, units))
+        dproj = packing.scratch("lstm.dproj", 4 * units,
+                                zeros=packing.in_place)
+        acc = packing.padding_grads(grad, ctx.reverse, "lstm.acc")
+        for step in reversed(packing.steps(ctx.reverse)):
+            _, key, live, gemm, _, _ = step
+            packing.add_grads(dh, acc, grad, grad_cells, step)
+            act, sig_d = acts[key], sig_deriv[key]
+            dh_live = dh[live]
+            do = dh_live * tanh_c[key]
+            dc_raw = dc[live] + dh_live * act[:, 3 * units:] * tc_deriv[key]
+            dg = dgates[live]
+            dg[:, :units] = (dc_raw * act[:, 2 * units:3 * units]
+                             * sig_d[:, :units])
+            dg[:, units:2 * units] = (dc_raw * c_prev[key]
+                                      * sig_d[:, units:2 * units])
+            dg[:, 2 * units:3 * units] = dc_raw * act[:, :units] * g_deriv[key]
+            dg[:, 3 * units:] = do * sig_d[:, 3 * units:]
+            dproj[key] = dg
+            _live_matmul(dgates, w_h_t, dh, live, gemm, spare)
+            np.multiply(dc_raw, act[:, units:2 * units], out=dc[live])
+        return (packing.to_batch(dproj, "level.dproj"),)
 
     @staticmethod
     def _finish(ctx: FunctionCtx, dproj: np.ndarray
@@ -539,7 +702,7 @@ class LSTMLevelFunction(Function):
         h_seq_w = ctx.h_seq[:, :ctx.width]
         if ctx.needs_input_grad[2]:
             dw_h = _recurrent_weight_grad(
-                _shift_prev(h_seq_w, ctx.order, "lstm.hprev"), dproj)
+                _shift_prev(h_seq_w, ctx.reverse, "lstm.hprev"), dproj)
         else:
             dw_h = None
         dx, dw_x, db = _input_grads(dproj, ctx.x, ctx.w_x, ctx, ctx.x_shape)
@@ -558,38 +721,39 @@ class GRULevelFunction(Function):
         _check_sequence(x, mask)
         batch, n_steps, _ = x.shape
         units = w_h.shape[0]
-        any_live, all_live = _classify_steps(mask, n_steps)
-        width = _effective_width(any_live, n_steps)
-        x_w = x[:, :width] if width < n_steps else x
-        proj = _projection(x_w, w_x, b_h, "gru.proj")
-        order = _time_order(width, reverse)
+        packing = _Packing.of(mask, batch, n_steps)
+        proj = packing.projection(x, w_x, b_h, "gru.proj")
 
+        # Backward tables per live cell, as in the LSTM level.
         states = np.empty((batch, n_steps, units))
-        gates = np.zeros((batch, width, 3 * units))  # z, r, n
-        rec_n = np.zeros((batch, width, units))      # h_prev W_h candidate slice
-        h = np.zeros((batch, units))
-        for t in order:
-            if not any_live[t]:
-                states[:, t] = h
-                continue
-            rec = h @ w_h
-            z = _sigmoid(proj[:, t, :units] + rec[:, :units])
-            r = _sigmoid(proj[:, t, units:2 * units] + rec[:, units:2 * units])
-            n = np.tanh(proj[:, t, 2 * units:] + r * rec[:, 2 * units:])
-            h_raw = z * h + (1.0 - z) * n
-            h = h_raw if all_live[t] else np.where(mask[:, t:t + 1], h_raw, h)
-            states[:, t] = h
-            gates[:, t, :units] = z
-            gates[:, t, units:2 * units] = r
-            gates[:, t, 2 * units:] = n
-            rec_n[:, t] = rec[:, 2 * units:]
-        _fill_tail(states, width, reverse, h)
+        hs = (packing.trim(states) if packing.in_place
+              else packing.scratch("gru.hs", units))
+        gates = packing.table(3 * units)  # z, r, n
+        rec_n = packing.table(units)      # h_prev W_h candidate slice
+        h_prev = packing.table(units)
+        h = _scratch.zeros("gru.h", (batch, units))
+        rec_all = _scratch.get("gru.rec", (batch, 3 * units))
+        for _, key, live, gemm, _, _ in packing.steps(reverse):
+            np.matmul(h[gemm], w_h, out=rec_all[gemm])
+            rec = rec_all[live]
+            proj_t = proj[key]
+            z = _sigmoid(proj_t[:, :units] + rec[:, :units])
+            r = _sigmoid(proj_t[:, units:2 * units] + rec[:, units:2 * units])
+            n = np.tanh(proj_t[:, 2 * units:] + r * rec[:, 2 * units:])
+            h_prev[key] = h[live]
+            hs[key] = np.add(z * h[live], (1.0 - z) * n, out=h[live])
+            gate = gates[key]
+            gate[:, :units] = z
+            gate[:, units:2 * units] = r
+            gate[:, 2 * units:] = n
+            rec_n[key] = rec[:, 2 * units:]
+        packing.unpack(states, hs, h, reverse)
 
-        ctx.x, ctx.x_shape, ctx.w_x, ctx.w_h = x_w, x.shape, w_x, w_h
-        ctx.states, ctx.gates, ctx.rec_n = states, gates, rec_n
-        ctx.mask, ctx.order = mask, order
-        ctx.any_live, ctx.all_live = any_live[:width], all_live[:width]
-        ctx.width, ctx.reverse = width, reverse
+        ctx.x, ctx.x_shape, ctx.w_x, ctx.w_h = (packing.trim(x), x.shape,
+                                                w_x, w_h)
+        ctx.states, ctx.gates, ctx.rec_n, ctx.h_prev = (states, gates, rec_n,
+                                                        h_prev)
+        ctx.packing, ctx.width, ctx.reverse = packing, packing.width, reverse
         return states
 
     @staticmethod
@@ -609,68 +773,57 @@ class GRULevelFunction(Function):
         group-local half; ``None`` when the recurrent weight needs no
         gradient.
         """
-        states, gates, rec_n = ctx.states, ctx.gates, ctx.rec_n
-        mask, order, w_h, width = ctx.mask, ctx.order, ctx.w_h, ctx.width
-        batch, _, units = states.shape
-        states_w = states[:, :width]
+        gates, rec_n, h_prev = ctx.gates, ctx.rec_n, ctx.h_prev
+        packing, w_h = ctx.packing, ctx.w_h
+        batch, units = packing.batch, w_h.shape[0]
 
-        # Live-window precomputation, as in the other level backwards.
-        z_all = gates[:, :, :units]
-        r_all = gates[:, :, units:2 * units]
-        n_all = gates[:, :, 2 * units:]
-        zr_all = gates[:, :, :2 * units]
-        zr_deriv = _scratch.get("gru.zrd", zr_all.shape)
+        # Whole-table precomputation, as in the other level backwards.
+        zr_all = gates[..., :2 * units]
+        n_all = gates[..., 2 * units:]
+        zr_deriv = packing.scratch("gru.zrd", 2 * units)
         np.subtract(1.0, zr_all, out=zr_deriv)
         np.multiply(zr_all, zr_deriv, out=zr_deriv)
-        z_deriv = zr_deriv[:, :, :units]
-        r_deriv = zr_deriv[:, :, units:]
-        n_deriv = _scratch.get("gru.nd", n_all.shape)
+        n_deriv = packing.scratch("gru.nd", units)
         np.multiply(n_all, n_all, out=n_deriv)
         np.subtract(1.0, n_deriv, out=n_deriv)
-        h_prev_seq = _shift_prev(states_w, order, "gru.prev")
+        grad_cells = packing.gather(grad)
         w_h_t = np.ascontiguousarray(w_h.T)
 
-        dproj = _dproj_scratch("gru.dproj", (batch, width, 3 * units),
-                               ctx.any_live)
-        drec = _scratch.get("gru.drec", (batch, 3 * units))
-        dh = np.zeros((batch, units))
-        _tail_grad(dh, grad, width, ctx.reverse)
-        for idx in range(len(order) - 1, -1, -1):
-            t = order[idx]
-            dh += grad[:, t]
-            if not ctx.any_live[t]:
-                continue
-            h_prev = h_prev_seq[:, t]
-            z = z_all[:, t]
-            r = r_all[:, t]
-            n = n_all[:, t]
-            if ctx.all_live[t]:
-                dlive = dh
-                ddead = 0.0
-            else:
-                live = mask[:, t:t + 1]
-                dlive = dh * live
-                ddead = dh * ~live
-            dz = dlive * (h_prev - n)
-            dn_pre = dlive * (1.0 - z) * n_deriv[:, t]
-            dr = dn_pre * rec_n[:, t]
-            drec[:, :units] = dz * z_deriv[:, t]
-            drec[:, units:2 * units] = dr * r_deriv[:, t]
-            drec[:, 2 * units:] = dn_pre * r
-            dproj[:, t, :2 * units] = drec[:, :2 * units]
-            dproj[:, t, 2 * units:] = dn_pre
-            dh = dlive * z + drec @ w_h_t + ddead
+        dproj = packing.scratch("gru.dproj", 3 * units, zeros=packing.in_place)
+        drec = _scratch.zeros("gru.drec", (batch, 3 * units))
+        dh = _scratch.zeros("gru.dh", (batch, units))
+        spare = _scratch.get("gru.spare", (batch, units))
+        acc = packing.padding_grads(grad, ctx.reverse, "gru.acc")
+        for step in reversed(packing.steps(ctx.reverse)):
+            _, key, live, gemm, _, _ = step
+            packing.add_grads(dh, acc, grad, grad_cells, step)
+            dlive = dh[live]
+            gate, zr_d = gates[key], zr_deriv[key]
+            z, n = gate[:, :units], gate[:, 2 * units:]
+            dz = dlive * (h_prev[key] - n)
+            dn_pre = dlive * (1.0 - z) * n_deriv[key]
+            dr = dn_pre * rec_n[key]
+            drec_live = drec[live]
+            drec_live[:, :units] = dz * zr_d[:, :units]
+            drec_live[:, units:2 * units] = dr * zr_d[:, units:]
+            drec_live[:, 2 * units:] = dn_pre * gate[:, units:2 * units]
+            dproj_t = dproj[key]
+            dproj_t[:, :2 * units] = drec_live[:, :2 * units]
+            dproj_t[:, 2 * units:] = dn_pre
+            np.matmul(drec[gemm], w_h_t, out=spare[gemm])
+            np.add(dlive * z, spare[live], out=dh[live])
 
         if ctx.needs_input_grad[2]:
             # The candidate slice of ``drec`` differs from ``dproj`` (the
             # reset gate multiplies only the recurrent term), so rebuild it.
-            drec_seq = _scratch.get("gru.drecseq", dproj.shape)
+            drec_seq = packing.scratch("gru.drecseq", 3 * units)
             np.copyto(drec_seq, dproj)
-            np.multiply(dproj[:, :, 2 * units:], gates[:, :, units:2 * units],
-                        out=drec_seq[:, :, 2 * units:])
+            np.multiply(dproj[..., 2 * units:], gates[..., units:2 * units],
+                        out=drec_seq[..., 2 * units:])
+            drec_seq = packing.to_batch(drec_seq, "gru.drecseq.batch")
         else:
             drec_seq = None
-        return dproj, drec_seq
+        return packing.to_batch(dproj, "level.dproj"), drec_seq
 
     @staticmethod
     def _finish(ctx: FunctionCtx, dproj: np.ndarray,
@@ -679,7 +832,8 @@ class GRULevelFunction(Function):
         """Batch-level tail (see ``RNNLevelFunction._finish``)."""
         if ctx.needs_input_grad[2]:
             dw_h = _recurrent_weight_grad(
-                _shift_prev(ctx.states[:, :ctx.width], ctx.order, "gru.prev"),
+                _shift_prev(ctx.states[:, :ctx.width], ctx.reverse,
+                            "gru.prev"),
                 drec_seq)
         else:
             dw_h = None

@@ -53,3 +53,28 @@ class Embedding(Module):
         if not self.mask_zero:
             return None
         return np.asarray(indices) != 0
+
+    def sequence_input(self, indices: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Indices and the right-padded mask a recurrent encoder runs on.
+
+        The fused sequence kernels take right-padded masks only (every row
+        live for a prefix of its steps).  The data pipeline already
+        right-pads; a row with an index 0 *between* its characters is
+        compacted so its characters come first.  A padded step leaves the
+        recurrent state untouched, so the encoder's final states equal
+        those of the uncompacted row.  A fully padded row (an empty cell
+        value) gets one live step, so its final state is the learned
+        response to "empty".
+        """
+        indices = np.asarray(indices)
+        mask = self.padding_mask(indices)
+        if mask is None:
+            return indices, None
+        lengths = np.count_nonzero(mask, axis=1)
+        prefix = np.arange(mask.shape[1]) < lengths[:, None]
+        if not np.array_equal(mask, prefix):
+            order = np.argsort(~mask, axis=1, kind="stable")
+            indices = np.take_along_axis(indices, order, axis=1)
+        prefix[lengths == 0, 0] = True
+        return indices, prefix

@@ -232,11 +232,8 @@ class LowPrecisionEvaluator:
         weights = self._refresh_weights()
         model = self.model
 
-        indices = np.asarray(features["values"], dtype=np.int64)
-        mask = model.embedding.padding_mask(indices)
-        if mask is not None and not mask.any(axis=1).all():
-            mask = mask.copy()
-            mask[~mask.any(axis=1), 0] = True
+        indices, mask = model.embedding.sequence_input(
+            np.asarray(features["values"], dtype=np.int64))
         embedded = weights["embedding"][indices]
         encoded = self._run_birnn(weights["birnn"], embedded, mask)
 

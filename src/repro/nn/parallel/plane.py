@@ -1,14 +1,12 @@
 """The kernel work plane: length-grouped intra-batch parallelism.
 
-A recurrence level's cost is ``batch x effective_width``: the fused
-kernels already trim the time loop to the last step where *any* row is
-live, but one long row pins the whole batch at full width.  The plane
-splits the batch into length-sorted row groups and runs the level kernel
-per group -- concurrently on a persistent thread pool -- so short groups
-stop their loops early regardless of the long tail.  On multi-core hosts
-the groups overlap in the BLAS/numpy regions that release the GIL; on any
-host the per-group width trimming alone pays for the split on skewed
-batches.
+The fused kernels already step only the rows still live (packed
+execution, see :mod:`repro.nn.kernels`), but one call is one serial time
+loop.  The plane splits the batch into length-sorted row groups and runs
+the level kernel per group -- concurrently on a persistent thread pool --
+so on multi-core hosts the groups overlap in the BLAS/numpy regions that
+release the GIL.  Each group arrives in length order, so the kernel runs
+it in place with no gather.
 
 Determinism contract
 --------------------
@@ -19,9 +17,8 @@ is *not* a per-group gradient sum: workers compute only the row-local
 BPTT loops (``_local_grads``), the main thread scatters their
 pre-activation gradients into one full-batch buffer and runs the serial
 kernel's own GEMM tail (``_finish``) on it.  Forward states and all
-gradients are therefore byte-identical across worker counts, and
-numerically identical to the plane-off serial path (the serial path may
-differ only in the sign of zero padding entries).
+gradients are therefore byte-identical across worker counts, including
+the plane-off serial path (both zero-fill the padding gradients).
 
 ``REPRO_NN_WORKERS`` (or :func:`set_workers` / :func:`use_workers`)
 selects the worker count; ``0`` -- the default -- disables the plane.
@@ -344,9 +341,7 @@ def _make_parallel_class(kernel_cls: type[Function]) -> type[Function]:
             # The serial kernels stash the output sequence under
             # class-specific names; provide both.
             finish_ctx.states = finish_ctx.h_seq = ctx.out
-            finish_ctx.order = (list(range(width - 1, -1, -1)) if reverse
-                                else list(range(width)))
-            finish_ctx.width = width
+            finish_ctx.width, finish_ctx.reverse = width, reverse
             return kernel._finish(finish_ctx, *assembled)
 
     ParallelLevel.__name__ = f"Parallel{kernel_cls.__name__}"

@@ -28,9 +28,10 @@ def percentile_from_buckets(edges: Sequence[float], counts: Sequence[int],
     bucket (the :class:`~repro.telemetry.Histogram` layout).  The
     estimate interpolates linearly inside the bucket the quantile lands
     in (the first bucket starts at 0.0, the natural floor for latency
-    edges); an overflow landing is capped at the observed ``maximum``
-    when known, else reported as the last finite edge.  Returns ``None``
-    for an empty histogram or ``q`` outside ``(0, 1]``.
+    edges) and never exceeds the observed ``maximum`` when known; an
+    overflow landing is reported as that maximum, else as the last finite
+    edge.  Returns ``None`` for an empty histogram or ``q`` outside
+    ``(0, 1]``.
     """
     if len(counts) != len(edges) + 1:
         raise ConfigurationError(
@@ -53,7 +54,9 @@ def percentile_from_buckets(edges: Sequence[float], counts: Sequence[int],
             low = 0.0 if i == 0 else float(edges[i - 1])
             high = float(edges[i])
             fraction = (rank - lower) / count
-            return low + (high - low) * fraction
+            estimate = low + (high - low) * fraction
+            return estimate if maximum is None \
+                else min(estimate, float(maximum))
     return float(maximum) if maximum is not None else float(edges[-1])
 
 

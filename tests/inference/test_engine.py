@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.dataprep import encode_cells, prepare
 from repro.datasets import DATASET_NAMES, load
+from repro.errors import ConfigurationError
 from repro.inference import InferenceEngine, PredictionCache
 from repro.models import ModelConfig
 from repro.models.etsb_rnn import ETSBRNN
@@ -217,3 +218,38 @@ class TestInvalidation:
         version = model.weights_version
         model.load_state_dict(model.state_dict())
         assert model.weights_version == version + 1
+
+
+class TestTrainModeModel:
+    """``Trainer.fit`` leaves its model in train mode.  A direct engine
+    call on it would run BatchNorm on chunk statistics, so a row's score
+    would depend on the rows scored alongside it; the engine refuses."""
+
+    def _fitted(self):
+        rng = np.random.default_rng(0)
+        features, lengths = _pool_features(rng, 6, 24)
+        labels = rng.integers(0, 2, size=24).astype(np.int64)
+        model = TSBRNN(VOCAB, TINY, np.random.default_rng(1))
+        trainer = Trainer(model=model,
+                          optimizer=RMSprop(model.parameters(), 0.01),
+                          loss_fn=lambda p, y: None,
+                          rng=np.random.default_rng(2))
+        trainer.fit(features, labels, epochs=1, batch_size=24)
+        return model, features, lengths
+
+    def test_model_left_in_train_mode_is_rejected(self):
+        model, features, lengths = self._fitted()
+        assert model.training
+        with pytest.raises(ConfigurationError, match="eval mode"):
+            InferenceEngine(model).predict_proba(features, lengths=lengths)
+
+    def test_eval_mode_scores_do_not_depend_on_the_batch(self):
+        model, features, lengths = self._fitted()
+        model.eval()
+        engine = InferenceEngine(model)
+        together = engine.predict_proba(features, lengths=lengths)
+        for row in (0, 5):
+            alone = engine.predict_proba(
+                {name: arr[row:row + 1] for name, arr in features.items()},
+                lengths=lengths[row:row + 1])
+            np.testing.assert_array_equal(alone[0], together[row])

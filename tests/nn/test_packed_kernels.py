@@ -1,0 +1,162 @@
+"""Packed execution of the fused level kernels.
+
+The kernels sort a batch's rows by length once per call and step only
+the rows still live (see :mod:`repro.nn.kernels`).  These tests pin the
+contract that packing is invisible in the numbers: forward values equal
+the per-step graph backend bit for bit and gradients agree as closely as
+they always have, on unsorted ragged batches whose live count falls to a
+single row, for every cell type and direction; results are byte-identical
+at every work-plane worker count; and masks that are not right-padded are
+refused.
+"""
+
+import numpy as np
+import pytest
+
+from repro.autograd import Tensor
+from repro.errors import ShapeError
+from repro.nn import StackedRNN, use_backend
+from repro.nn.kernels import gru_level, lstm_level, rnn_level
+from repro.nn.layers.embedding import Embedding
+from repro.nn.layers.rnn import CELL_TYPES
+from repro.nn.parallel import use_workers
+
+pytestmark = pytest.mark.equivalence
+
+LEVELS = {"rnn": (rnn_level, 1), "lstm": (lstm_level, 4),
+          "gru": (gru_level, 3)}
+
+#: Row lengths by layout.  "unsorted" has one row longer than all others
+#: (the live count falls to 1) and a fully padded row; the sorted ones run
+#: in place, the ascending one with its live rows as a suffix.
+LENGTHS = {
+    "unsorted": [3, 7, 1, 5, 7, 2, 9, 4, 0, 6, 7, 3],
+    "descending": [9, 7, 7, 6, 5, 4, 3, 3, 2, 1],
+    "ascending": [1, 1, 2, 4, 4, 6, 8],
+    "uniform": [5, 5, 5, 5],
+    "single_row": [4],
+}
+
+
+def _mask(lengths, n_steps=10):
+    lengths = np.asarray(lengths)
+    return np.arange(n_steps)[None, :] < lengths[:, None]
+
+
+def _run_stack(backend, cell_type, reverse, x_data, mask):
+    rnn = StackedRNN(x_data.shape[2], 5, np.random.default_rng(7),
+                     num_layers=2, reverse=reverse, cell_type=cell_type)
+    x = Tensor(x_data.copy(), requires_grad=True)
+    with use_backend(backend):
+        final, outputs = rnn.run(x, mask=mask)
+        loss = (final ** 2).sum()
+        for t, out in enumerate(outputs):
+            loss = loss + (out * (0.1 * (t + 1))).sum()
+        loss.backward()
+    states = np.stack([out.data for out in outputs], axis=1)
+    return (final.data.copy(), states,
+            [x.grad.copy()] + [p.grad.copy() for p in rnn.parameters()])
+
+
+class TestFusedMatchesGraph:
+    @pytest.mark.parametrize("cell_type", CELL_TYPES)
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+    @pytest.mark.parametrize("layout", sorted(LENGTHS))
+    def test_forward_bitwise_and_gradients_close(self, cell_type, reverse,
+                                                 layout):
+        mask = _mask(LENGTHS[layout])
+        x_data = np.random.default_rng(3).normal(size=mask.shape + (4,))
+        fused = _run_stack("fused", cell_type, reverse, x_data, mask)
+        graph = _run_stack("graph", cell_type, reverse, x_data, mask)
+        np.testing.assert_array_equal(fused[0], graph[0])
+        np.testing.assert_array_equal(fused[1], graph[1])
+        for fused_grad, graph_grad in zip(fused[2], graph[2]):
+            np.testing.assert_allclose(fused_grad, graph_grad,
+                                       rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("cell_type", CELL_TYPES)
+    def test_row_order_does_not_change_a_rows_bits(self, cell_type):
+        # The same rows, once unsorted (packed) and once sorted by length
+        # (in place), give each row the same output bytes.
+        lengths = np.array(LENGTHS["unsorted"])
+        order = np.argsort(-lengths, kind="stable")
+        x_data = np.random.default_rng(4).normal(size=(len(lengths), 10, 3))
+        rnn = StackedRNN(3, 5, np.random.default_rng(8), num_layers=2,
+                         cell_type=cell_type)
+        with use_backend("fused"):
+            _, unsorted = rnn.run(Tensor(x_data), mask=_mask(lengths))
+            _, ordered = rnn.run(Tensor(x_data[order]),
+                                 mask=_mask(lengths[order]))
+        unsorted = np.stack([out.data for out in unsorted], axis=1)
+        ordered = np.stack([out.data for out in ordered], axis=1)
+        assert unsorted[order].tobytes() == ordered.tobytes()
+
+
+def _level_bytes(level, mult, workers, mask, reverse):
+    rng = np.random.default_rng(5)
+    batch, n_steps = mask.shape
+    x = Tensor(rng.normal(size=(batch, n_steps, 3)), requires_grad=True)
+    w_x = Tensor(0.5 * rng.normal(size=(3, 5 * mult)), requires_grad=True)
+    w_h = Tensor(0.5 * rng.normal(size=(5, 5 * mult)), requires_grad=True)
+    b_h = Tensor(0.1 * rng.normal(size=(5 * mult,)), requires_grad=True)
+    with use_workers(workers):
+        out = level(x, w_x, w_h, b_h, mask=mask, reverse=reverse)
+        (out * out).sum().backward()
+    return [out.data.tobytes()] + [t.grad.tobytes()
+                                   for t in (x, w_x, w_h, b_h)]
+
+
+class TestWorkerCounts:
+    @pytest.mark.parametrize("cell", sorted(LEVELS))
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+    def test_identical_bytes_at_every_worker_count(self, cell, reverse):
+        level, mult = LEVELS[cell]
+        # Skewed and unsorted, so the plane really splits the batch.
+        lengths = [2, 10, 3, 2, 9, 2, 2, 10, 1, 2, 3, 2, 2, 8, 2, 2]
+        mask = _mask(lengths)
+        reference = _level_bytes(level, mult, 0, mask, reverse)
+        for workers in (1, 2, 4):
+            assert _level_bytes(level, mult, workers, mask,
+                                reverse) == reference, workers
+
+
+class TestMaskContract:
+    @pytest.mark.parametrize("cell", sorted(LEVELS))
+    def test_interior_padding_is_rejected(self, cell):
+        level, mult = LEVELS[cell]
+        mask = _mask([4, 6, 3])
+        mask[1, 2] = False  # a hole before the row's last live step
+        rng = np.random.default_rng(0)
+        with pytest.raises(ShapeError, match="right-padded"):
+            level(Tensor(rng.normal(size=(3, 10, 2))),
+                  Tensor(rng.normal(size=(2, 3 * mult))),
+                  Tensor(rng.normal(size=(3, 3 * mult))),
+                  Tensor(rng.normal(size=(3 * mult,))), mask=mask)
+
+    def test_sequence_input_compacts_interior_padding(self):
+        layer = Embedding(10, 3, np.random.default_rng(0))
+        indices = np.array([[4, 0, 5, 0, 0], [0, 0, 0, 0, 0],
+                            [1, 2, 3, 0, 0]])
+        packed, mask = layer.sequence_input(indices)
+        np.testing.assert_array_equal(
+            packed, [[4, 5, 0, 0, 0], [0, 0, 0, 0, 0], [1, 2, 3, 0, 0]])
+        np.testing.assert_array_equal(mask, [
+            [True, True, False, False, False],
+            [True, False, False, False, False],   # empty value: one step
+            [True, True, True, False, False]])
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+    def test_compaction_keeps_the_final_state(self, reverse):
+        # A padded step leaves the state unchanged, so the graph backend's
+        # final state over an interior-padded row equals the fused final
+        # state over the compacted row.
+        layer = Embedding(10, 3, np.random.default_rng(0))
+        indices = np.array([[4, 0, 5, 7, 0, 0], [0, 2, 0, 3, 0, 1]])
+        rnn = StackedRNN(3, 4, np.random.default_rng(1), num_layers=2,
+                         reverse=reverse)
+        with use_backend("graph"):
+            holes = rnn(layer(indices), mask=indices != 0).data
+        packed, mask = layer.sequence_input(indices)
+        with use_backend("fused"):
+            compact = rnn(layer(packed), mask=mask).data
+        np.testing.assert_array_equal(holes, compact)

@@ -56,6 +56,18 @@ class TestPercentileFromBuckets:
                                        maximum=2.5) == 2.5
         assert percentile_from_buckets(EDGES, counts, 0.5) == EDGES[-1]
 
+    def test_interpolation_is_clamped_to_observed_max(self):
+        # One observation of 0.012 lands in (0.01, 0.025]; interpolating
+        # to 99% of that bucket would report 0.0249, above anything seen.
+        edges = [0.01, 0.025, 0.05]
+        counts = [0, 1, 0, 0]
+        assert percentile_from_buckets(edges, counts, 0.99,
+                                       maximum=0.012) == 0.012
+        assert percentile_from_buckets(edges, counts, 0.5,
+                                       maximum=0.012) == 0.012
+        assert percentile_from_buckets(edges, counts, 0.99) == pytest.approx(
+            0.01 + 0.015 * 0.99)
+
     def test_p100_is_reachable(self):
         counts = [3, 0, 0, 0, 0]
         assert percentile_from_buckets(EDGES, counts, 1.0) == pytest.approx(
