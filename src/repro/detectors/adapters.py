@@ -162,7 +162,6 @@ class NeuralDetector(Detector):
         assert detector.trainer is not None
         probabilities = detector.trainer.predict_proba(
             features, deduplicate=detector.deduplicate,
-            workers=detector.inference_workers,
             precision=detector.inference_precision)
         return probabilities[:, 1].reshape(table.n_rows, table.n_cols)
 

@@ -67,7 +67,9 @@ _SECTIONS: tuple[tuple[str, str, str], ...] = (
      "truncation, value swaps, missing markers) injected *alone* at a "
      "10% cell rate into one clean table, with ETSB-RNN and the "
      "Raha-style baseline trained per pair. Character-visible families "
-     "(missing, format drift, truncation) score high; families whose "
+     "(missing, format drift, truncation) score high, with one "
+     "exception: on keyboard-adjacency typos, character-visible too, "
+     "ETSB-RNN scores F1 0.24 against Raha's 0.87. Families whose "
      "evidence lives in other cells (value swaps, correlated errors) "
      "collapse for every per-cell system — the causal version of the "
      "§5.5 error-mix analysis. Full matrix with settings: "

@@ -181,7 +181,6 @@ def _execute_run(pair: DatasetPair, architecture: str,
                  model_config: ModelConfig | None,
                  training_config: TrainingConfig,
                  seed: int, track_curves: bool,
-                 inference_workers: int = 0,
                  inference_precision: str = "float64") -> RunResult:
     """Train and evaluate one detector run (one task of the matrix).
 
@@ -202,8 +201,7 @@ def _execute_run(pair: DatasetPair, architecture: str,
         with telemetry.use_registry(registry):
             result = _execute_run_body(
                 pair, architecture, sampler, n_label_tuples, model_config,
-                training_config, seed, track_curves,
-                inference_workers, inference_precision)
+                training_config, seed, track_curves, inference_precision)
         snapshot = registry.snapshot()
         # Piggyback the raw records so the parent can re-emit them into
         # its own sinks; merge_snapshot ignores the extra key.
@@ -211,8 +209,7 @@ def _execute_run(pair: DatasetPair, architecture: str,
         return replace(result, telemetry=snapshot)
     return _execute_run_body(pair, architecture, sampler, n_label_tuples,
                              model_config, training_config, seed,
-                             track_curves, inference_workers,
-                             inference_precision)
+                             track_curves, inference_precision)
 
 
 def _execute_run_body(pair: DatasetPair, architecture: str,
@@ -220,7 +217,6 @@ def _execute_run_body(pair: DatasetPair, architecture: str,
                       model_config: ModelConfig | None,
                       training_config: TrainingConfig,
                       seed: int, track_curves: bool,
-                      inference_workers: int = 0,
                       inference_precision: str = "float64") -> RunResult:
     detector = ErrorDetector(
         architecture=architecture,
@@ -229,7 +225,6 @@ def _execute_run_body(pair: DatasetPair, architecture: str,
         model_config=model_config,
         training_config=training_config,
         seed=seed,
-        inference_workers=inference_workers,
         inference_precision=inference_precision,
     )
     callbacks = []
@@ -264,9 +259,8 @@ def _journal_fingerprint(architecture: str, n_label_tuples: int,
                          inference_precision: str = "float64") -> dict:
     """The configuration identity a journal is valid for.
 
-    Deliberately excludes the dataset list, seed range and worker counts
-    (both process fan-out and the kernel work plane): those select *which*
-    tasks run or how fast, not what any one task computes, so e.g.
+    Deliberately excludes the dataset list, seed range and process
+    fan-out: those select *which* tasks run or how fast, not what any one task computes, so e.g.
     widening ``n_runs`` keeps every journalled task reusable.  The
     inference precision *is* part of the identity -- reduced-precision
     metrics are only tolerance-close to float64 -- but the default is
@@ -297,7 +291,6 @@ def run_experiment(pair: DatasetPair, architecture: str = "etsb",
                    task_timeout: float | None = None,
                    journal_path: str | Path | None = None,
                    fail_fast: bool = True,
-                   inference_workers: int = 0,
                    inference_precision: str = "float64") -> ExperimentResult:
     """Train and evaluate a detector ``n_runs`` times on one dataset.
 
@@ -335,11 +328,10 @@ def run_experiment(pair: DatasetPair, architecture: str = "etsb",
         ``True`` raises on the first task that exhausts its retries;
         ``False`` degrades gracefully, returning the successful runs
         plus :class:`TaskFailure` records.
-    inference_workers, inference_precision:
-        Prediction-pass knobs passed to every run's
-        :class:`~repro.models.detector.ErrorDetector` (thread workers
-        keep results bit-identical; reduced precision changes the
-        journal fingerprint).
+    inference_precision:
+        Prediction-pass numeric mode passed to every run's
+        :class:`~repro.models.detector.ErrorDetector` (reduced precision
+        changes the journal fingerprint).
     """
     if n_runs < 1:
         raise ExperimentError(f"n_runs must be >= 1, got {n_runs}")
@@ -347,8 +339,7 @@ def run_experiment(pair: DatasetPair, architecture: str = "etsb",
               else TrainingConfig(epochs=epochs))
     tasks = [
         (pair, architecture, sampler, n_label_tuples, model_config, config,
-         base_seed + run_index, track_curves, inference_workers,
-         inference_precision)
+         base_seed + run_index, track_curves, inference_precision)
         for run_index in range(n_runs)
     ]
     journal = None
@@ -382,7 +373,6 @@ def run_experiment_matrix(pairs: Sequence[DatasetPair],
                           task_timeout: float | None = None,
                           journal_path: str | Path | None = None,
                           fail_fast: bool = True,
-                          inference_workers: int = 0,
                           inference_precision: str = "float64",
                           ) -> dict[str, ExperimentResult]:
     """Run the full dataset x seed grid, optionally over a process pool.
@@ -407,8 +397,7 @@ def run_experiment_matrix(pairs: Sequence[DatasetPair],
               else TrainingConfig(epochs=epochs))
     tasks = [
         (pair, architecture, sampler, n_label_tuples, model_config, config,
-         base_seed + run_index, False, inference_workers,
-         inference_precision)
+         base_seed + run_index, False, inference_precision)
         for pair in pairs
         for run_index in range(n_runs)
     ]

@@ -116,10 +116,10 @@ def build_dedup_index(features: Mapping[str, np.ndarray]) -> DedupIndex:
     parts = []
     for name in sorted(features):
         arr = np.ascontiguousarray(features[name]).reshape(n, -1)
-        parts.append(arr.view(np.uint8).reshape(n, -1))
+        parts.append(arr.view(np.ubyte).reshape(n, -1))
     keys = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     keys = np.ascontiguousarray(keys)
-    rows = keys.view([("bytes", np.uint8, keys.shape[1])]).reshape(n)
+    rows = keys.view([("bytes", np.ubyte, keys.shape[1])]).reshape(n)
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     return DedupIndex(representatives=first.astype(np.int64),
                       inverse=inverse.astype(np.int64).reshape(-1))

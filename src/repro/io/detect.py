@@ -134,7 +134,6 @@ def _score_with_model(item: IngestedTable,
     features = encode_values_for(detector, cell_values, attrs)
     probabilities = detector.trainer.predict_proba(
         features, deduplicate=detector.deduplicate,
-        workers=detector.inference_workers,
         precision=detector.inference_precision)
     return tuple(
         CellScore(table=item.name, row=rows[i], attribute=attrs[i],

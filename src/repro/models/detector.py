@@ -143,14 +143,10 @@ class ErrorDetector:
     prediction_cache_size:
         Capacity of the cross-call :class:`~repro.inference.PredictionCache`
         shared by every prediction this detector serves.
-    inference_workers:
-        Worker count for prediction (0 = serial).  Thread workers split
-        each forward's length groups across the kernel work plane;
-        predictions stay bit-identical at any count.
     inference_precision:
-        ``"float64"`` (default, the reference), ``"float32"`` or
-        ``"int8"`` -- the reduced-precision fast inference mode
-        (tolerance-gated, requires ``deduplicate``).
+        ``"float64"`` (default, the reference) or ``"float32"`` -- the
+        reduced-precision fast inference mode (tolerance-gated, requires
+        ``deduplicate``).
     """
 
     def __init__(self, architecture: str = "etsb",
@@ -162,7 +158,6 @@ class ErrorDetector:
                  extra_callbacks: Sequence[Callback] = (),
                  deduplicate: bool = True,
                  prediction_cache_size: int = 65536,
-                 inference_workers: int = 0,
                  inference_precision: str = "float64"):
         if architecture not in ARCHITECTURES:
             raise ConfigurationError(
@@ -180,9 +175,6 @@ class ErrorDetector:
             raise ConfigurationError(
                 "reduced-precision inference requires the dedup engine; "
                 "drop deduplicate=False or use float64")
-        if inference_workers < 0:
-            raise ConfigurationError(
-                f"inference_workers must be >= 0, got {inference_workers}")
         self.architecture = architecture
         self.sampler = sampler if sampler is not None else DiverSet()
         self.n_label_tuples = n_label_tuples
@@ -192,7 +184,6 @@ class ErrorDetector:
         self.seed = seed
         self.extra_callbacks = tuple(extra_callbacks)
         self.deduplicate = deduplicate
-        self.inference_workers = inference_workers
         self.inference_precision = inference_precision
         self.prediction_cache = PredictionCache(capacity=prediction_cache_size)
         self.model: Module | None = None
@@ -351,7 +342,6 @@ class ErrorDetector:
         probabilities = self.trainer.predict_proba(
             features, lengths=lengths, dedup=dedup,
             deduplicate=self.deduplicate,
-            workers=self.inference_workers,
             precision=self.inference_precision)
         return probabilities.argmax(axis=1).astype(np.int64)
 
@@ -404,7 +394,6 @@ class ErrorDetector:
                                               lengths=encoded.lengths,
                                               dedup=encoded.dedup,
                                               deduplicate=self.deduplicate,
-                                              workers=self.inference_workers,
                                               precision=self.inference_precision)
         predictions = probabilities.argmax(axis=1)
         return [

@@ -35,10 +35,9 @@ cells only.
 BLAS row rule: a one-row GEMM runs a different microkernel whose bits can
 differ from the many-row path by an ulp, so a step with a single live row
 still runs its GEMM over :data:`MIN_GEMM_ROWS` rows, borrowing a dead
-neighbour whose result is dropped (the rule the work plane and the
-inference engine's single-row padding rely on too).  Because a GEMM's
-rows do not depend on each other, packed states are bit-for-bit those of
-a dense loop.  The batch-level GEMMs of the backward (``dw_h``, ``dw_x``,
+neighbour whose result is dropped (the rule the inference engine's
+single-row padding relies on too).  Because a GEMM's rows do not depend
+on each other, packed states are bit-for-bit those of a dense loop.  The batch-level GEMMs of the backward (``dw_h``, ``dw_x``,
 ``dx``, ``db``) sum over all cells, so they keep running on the batch's
 own row order with zero gradients on padding: gradients are identical to
 the unpacked kernels' and agree with the graph backend to
@@ -66,7 +65,6 @@ import numpy as np
 from repro import telemetry
 from repro.autograd.function import Function, FunctionCtx
 from repro.errors import ShapeError
-from repro.nn.parallel.plane import parallel_level_active, parallel_level
 
 __all__ = [
     "RNNLevelFunction",
@@ -156,10 +154,10 @@ class _Packing:
     gradients) take one of two layouts:
 
     * *in place*, when the batch's rows already come in length order --
-      descending, or ascending as the inference engine and the work plane
-      build them (the live rows are then a suffix).  Tables are
-      batch-order ``(batch, width, dim)`` arrays and step ``t``'s cells
-      are ``table[live, t]``: no gather, no scatter.
+      descending, or ascending as the inference engine builds them (the
+      live rows are then a suffix).  Tables are batch-order ``(batch,
+      width, dim)`` arrays and step ``t``'s cells are ``table[live,
+      t]``: no gather, no scatter.
     * *packed* otherwise.  Tables hold the live cells only, ``(n_cells,
       dim)``, step after step; step ``t``'s cells are one contiguous
       slice.  :attr:`cells` indexes the same cells in batch-order arrays,
@@ -385,8 +383,8 @@ class _ScratchPool(threading.local):
     same key *on the same thread*; nothing handed to the autograd graph
     (outputs, returned gradients, ``ctx`` state) may ever live here.
     Kernel calls never nest on a thread, so sequential reuse is safe, and
-    each worker of the parallel plane gets its own buffers -- concurrent
-    kernel calls never alias.
+    each thread (e.g. a serving batcher next to its callers) gets its own
+    buffers -- concurrent kernel calls never alias.
     """
 
     def __init__(self) -> None:
@@ -534,20 +532,9 @@ class RNNLevelFunction(Function):
     @staticmethod
     def backward(ctx: FunctionCtx, grad: np.ndarray
                  ) -> tuple[np.ndarray | None, ...]:
-        (dproj,) = RNNLevelFunction._local_grads(ctx, grad)
-        return RNNLevelFunction._finish(ctx, dproj)
-
-    @staticmethod
-    def _local_grads(ctx: FunctionCtx, grad: np.ndarray
-                     ) -> tuple[np.ndarray, ...]:
-        """Row-local half of the backward: the BPTT time loop.
-
-        Produces the pre-activation gradient ``dproj`` (scratch, batch
-        order, zero on padding) over the live window.  Every operation
-        here is row-wise, so the parallel plane can run it per length
-        group and assemble the groups' results into the full-batch
-        ``dproj`` the serial path would have built.
-        """
+        """The packed BPTT time loop builds the pre-activation gradient
+        ``dproj``; the weight and input gradients then come from it as
+        batch-level GEMMs in batch row order (zero on padding)."""
         hs, packing, w_h = ctx.hs, ctx.packing, ctx.w_h
         batch, units = packing.batch, w_h.shape[0]
 
@@ -567,17 +554,8 @@ class RNNLevelFunction(Function):
             packing.add_grads(dh, acc, grad, grad_cells, step)
             dproj[key] = np.multiply(dh[live], deriv[key], out=dpre[live])
             _live_matmul(dpre, w_h_t, dh, live, gemm, spare)
-        return (packing.to_batch(dproj, "level.dproj"),)
+        dproj = packing.to_batch(dproj, "level.dproj")
 
-    @staticmethod
-    def _finish(ctx: FunctionCtx, dproj: np.ndarray
-                ) -> tuple[np.ndarray | None, ...]:
-        """Batch-level tail: weight and input gradients from ``dproj``.
-
-        The exact GEMM expressions of the serial backward, run in batch
-        row order, so calling this on an assembled full-batch ``dproj``
-        (parallel plane) reproduces the serial gradients.
-        """
         states_w = ctx.states[:, :ctx.width]
         if ctx.needs_input_grad[2]:
             dw_h = _recurrent_weight_grad(
@@ -643,13 +621,8 @@ class LSTMLevelFunction(Function):
     @staticmethod
     def backward(ctx: FunctionCtx, grad: np.ndarray
                  ) -> tuple[np.ndarray | None, ...]:
-        (dproj,) = LSTMLevelFunction._local_grads(ctx, grad)
-        return LSTMLevelFunction._finish(ctx, dproj)
-
-    @staticmethod
-    def _local_grads(ctx: FunctionCtx, grad: np.ndarray
-                     ) -> tuple[np.ndarray, ...]:
-        """Row-local half of the backward (see ``RNNLevelFunction``)."""
+        """Packed BPTT loop, then the batch-level GEMMs (see
+        ``RNNLevelFunction.backward``)."""
         acts, tanh_c, c_prev = ctx.acts, ctx.tanh_c, ctx.c_prev
         packing, w_h = ctx.packing, ctx.w_h
         batch, units = packing.batch, w_h.shape[0]
@@ -693,12 +666,8 @@ class LSTMLevelFunction(Function):
             dproj[key] = dg
             _live_matmul(dgates, w_h_t, dh, live, gemm, spare)
             np.multiply(dc_raw, act[:, units:2 * units], out=dc[live])
-        return (packing.to_batch(dproj, "level.dproj"),)
+        dproj = packing.to_batch(dproj, "level.dproj")
 
-    @staticmethod
-    def _finish(ctx: FunctionCtx, dproj: np.ndarray
-                ) -> tuple[np.ndarray | None, ...]:
-        """Batch-level tail (see ``RNNLevelFunction._finish``)."""
         h_seq_w = ctx.h_seq[:, :ctx.width]
         if ctx.needs_input_grad[2]:
             dw_h = _recurrent_weight_grad(
@@ -759,20 +728,8 @@ class GRULevelFunction(Function):
     @staticmethod
     def backward(ctx: FunctionCtx, grad: np.ndarray
                  ) -> tuple[np.ndarray | None, ...]:
-        dproj, drec_seq = GRULevelFunction._local_grads(ctx, grad)
-        return GRULevelFunction._finish(ctx, dproj, drec_seq)
-
-    @staticmethod
-    def _local_grads(ctx: FunctionCtx, grad: np.ndarray
-                     ) -> tuple[np.ndarray, ...]:
-        """Row-local half of the backward (see ``RNNLevelFunction``).
-
-        Also builds the recurrent-projection gradient ``drec_seq`` (the
-        candidate slice of ``dproj`` re-scaled by the reset gate), which
-        depends on the row-local gate activations and so belongs to the
-        group-local half; ``None`` when the recurrent weight needs no
-        gradient.
-        """
+        """Packed BPTT loop, then the batch-level GEMMs (see
+        ``RNNLevelFunction.backward``)."""
         gates, rec_n, h_prev = ctx.gates, ctx.rec_n, ctx.h_prev
         packing, w_h = ctx.packing, ctx.w_h
         batch, units = packing.batch, w_h.shape[0]
@@ -821,23 +778,14 @@ class GRULevelFunction(Function):
             np.multiply(dproj[..., 2 * units:], gates[..., units:2 * units],
                         out=drec_seq[..., 2 * units:])
             drec_seq = packing.to_batch(drec_seq, "gru.drecseq.batch")
-        else:
-            drec_seq = None
-        return packing.to_batch(dproj, "level.dproj"), drec_seq
-
-    @staticmethod
-    def _finish(ctx: FunctionCtx, dproj: np.ndarray,
-                drec_seq: np.ndarray | None
-                ) -> tuple[np.ndarray | None, ...]:
-        """Batch-level tail (see ``RNNLevelFunction._finish``)."""
-        if ctx.needs_input_grad[2]:
             dw_h = _recurrent_weight_grad(
                 _shift_prev(ctx.states[:, :ctx.width], ctx.reverse,
                             "gru.prev"),
                 drec_seq)
         else:
             dw_h = None
-        dx, dw_x, db = _input_grads(dproj, ctx.x, ctx.w_x, ctx, ctx.x_shape)
+        dx, dw_x, db = _input_grads(packing.to_batch(dproj, "level.dproj"),
+                                    ctx.x, ctx.w_x, ctx, ctx.x_shape)
         return dx, dw_x, dw_h, db
 
 
@@ -892,30 +840,19 @@ class DenseSoftmaxBCEFunction(Function):
 
 
 # -- functional wrappers --------------------------------------------------------
-#
-# Each wrapper dispatches to the parallel work plane when it is enabled
-# (``repro.nn.parallel``) and the batch is worth splitting; otherwise the
-# kernel runs inline as a single autograd node.
 
 def rnn_level(x, w_x, w_h, b_h, mask=None, reverse=False):
     """Fused tanh-RNN level; returns the state sequence ``(B, T, units)``."""
-    if parallel_level_active(mask):
-        return parallel_level(RNNLevelFunction, x, w_x, w_h, b_h, mask, reverse)
     return RNNLevelFunction.apply(x, w_x, w_h, b_h, mask, reverse)
 
 
 def lstm_level(x, w_x, w_h, b_h, mask=None, reverse=False):
     """Fused LSTM level; returns the hidden sequence ``(B, T, units)``."""
-    if parallel_level_active(mask):
-        return parallel_level(LSTMLevelFunction, x, w_x, w_h, b_h, mask,
-                              reverse)
     return LSTMLevelFunction.apply(x, w_x, w_h, b_h, mask, reverse)
 
 
 def gru_level(x, w_x, w_h, b_h, mask=None, reverse=False):
     """Fused GRU level; returns the state sequence ``(B, T, units)``."""
-    if parallel_level_active(mask):
-        return parallel_level(GRULevelFunction, x, w_x, w_h, b_h, mask, reverse)
     return GRULevelFunction.apply(x, w_x, w_h, b_h, mask, reverse)
 
 

@@ -1,14 +1,12 @@
-"""Reduced-precision inference: a float32 (optionally int8-weight)
-re-implementation of the detector forwards.
+"""Reduced-precision inference: a float32 re-implementation of the
+detector forwards.
 
 The autograd :class:`~repro.autograd.tensor.Tensor` deliberately coerces
 everything to float64 (training reproducibility rests on it), so the fast
 inference mode lives outside the graph: a straight-line numpy evaluator
 that replicates the TSB-RNN / ETSB-RNN eval-mode forward in float32 --
 same layer equations, same masking and effective-width trimming, no
-autograd bookkeeping.  ``"int8"`` additionally quantises the weight
-matrices (symmetric per-tensor, dequantised back to float32 for the
-arithmetic), halving again what the caches have to hold warm.
+autograd bookkeeping.
 
 Weights are cast once per ``weights_version`` and reused across calls.
 Float64 remains the default and the only training path; this module is
@@ -26,9 +24,9 @@ from repro.errors import ConfigurationError
 __all__ = ["PRECISION_MODES", "LOWP_MODES", "LowPrecisionEvaluator"]
 
 #: Every precision the inference engine accepts.
-PRECISION_MODES = ("float64", "float32", "int8")
+PRECISION_MODES = ("float64", "float32")
 #: The subset this module evaluates (float64 runs the normal graph).
-LOWP_MODES = ("float32", "int8")
+LOWP_MODES = ("float32",)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -40,13 +38,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
-
-
-def _quantize_int8(weight: np.ndarray) -> np.ndarray:
-    """Symmetric per-tensor int8 round trip, returned as float32."""
-    scale = np.float32(max(float(np.abs(weight).max()) / 127.0, 1e-12))
-    q = np.clip(np.rint(weight / scale), -127, 127).astype(np.int8)
-    return (q.astype(np.float32) * scale)
 
 
 def _run_level(kind: str, x: np.ndarray, w_x: np.ndarray, w_h: np.ndarray,
@@ -116,7 +107,7 @@ class LowPrecisionEvaluator:
         :class:`~repro.models.etsb_rnn.ETSBRNN` instance (duck-typed on
         the branch attributes).
     mode:
-        ``"float32"`` or ``"int8"`` (weight-only quantisation).
+        ``"float32"``, the one reduced-precision mode.
     """
 
     def __init__(self, model, mode: str = "float32") -> None:
@@ -137,16 +128,8 @@ class LowPrecisionEvaluator:
 
     # -- weight cache --------------------------------------------------------
 
-    def _cast_matrix(self, array: np.ndarray) -> np.ndarray:
-        value = np.asarray(array, dtype=np.float32)
-        if self.mode == "int8":
-            value = _quantize_int8(value)
-        return value
-
     @staticmethod
-    def _cast_vector(array: np.ndarray) -> np.ndarray:
-        # Biases and normalisation terms stay float32 even in int8 mode
-        # (quantising them buys nothing and costs accuracy).
+    def _cast(array: np.ndarray) -> np.ndarray:
         return np.asarray(array, dtype=np.float32)
 
     def _cast_stack(self, stacked) -> list[tuple]:
@@ -154,9 +137,9 @@ class LowPrecisionEvaluator:
         for cell in stacked.cells:
             kind = {1: "rnn", 4: "lstm", 3: "gru"}[
                 cell.w_x.data.shape[1] // cell.units]
-            cells.append((kind, self._cast_matrix(cell.w_x.data),
-                          self._cast_matrix(cell.w_h.data),
-                          self._cast_vector(cell.b_h.data), cell.units))
+            cells.append((kind, self._cast(cell.w_x.data),
+                          self._cast(cell.w_h.data),
+                          self._cast(cell.b_h.data), cell.units))
         return cells
 
     def _cast_birnn(self, birnn) -> dict:
@@ -165,8 +148,8 @@ class LowPrecisionEvaluator:
 
     def _cast_dense(self, dense) -> tuple[np.ndarray, np.ndarray | None]:
         bias = (None if dense.bias is None
-                else self._cast_vector(dense.bias.data))
-        return self._cast_matrix(dense.kernel.data), bias
+                else self._cast(dense.bias.data))
+        return self._cast(dense.kernel.data), bias
 
     def _refresh_weights(self) -> dict:
         model = self.model
@@ -175,18 +158,18 @@ class LowPrecisionEvaluator:
             return self._weights
         norm = model.norm
         weights = {
-            "embedding": self._cast_matrix(model.embedding.weights.data),
+            "embedding": self._cast(model.embedding.weights.data),
             "birnn": self._cast_birnn(model.birnn),
             "head": self._cast_dense(model.head),
             "classifier": self._cast_dense(model.classifier),
-            "norm_mean": self._cast_vector(norm.buffer("running_mean")),
-            "norm_std": self._cast_vector(
+            "norm_mean": self._cast(norm.buffer("running_mean")),
+            "norm_std": self._cast(
                 np.sqrt(norm.buffer("running_var") + norm.epsilon)),
-            "norm_gamma": self._cast_vector(norm.gamma.data),
-            "norm_beta": self._cast_vector(norm.beta.data),
+            "norm_gamma": self._cast(norm.gamma.data),
+            "norm_beta": self._cast(norm.beta.data),
         }
         if self._enriched:
-            weights["attr_embedding"] = self._cast_matrix(
+            weights["attr_embedding"] = self._cast(
                 model.attr_embedding.weights.data)
             weights["attr_birnn"] = self._cast_birnn(model.attr_birnn)
             weights["length_dense"] = self._cast_dense(model.length_dense)

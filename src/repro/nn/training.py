@@ -36,7 +36,6 @@ from repro.inference.index import DedupIndex
 from repro.nn.callbacks import Callback, History
 from repro.nn.module import Module
 from repro.nn.optim import Optimizer, clip_gradients
-from repro.nn.parallel import use_workers
 
 Features = dict[str, np.ndarray]
 
@@ -486,7 +485,6 @@ class Trainer:
                       lengths: np.ndarray | None = None,
                       dedup: DedupIndex | None = None,
                       deduplicate: bool = True,
-                      workers: int | None = None,
                       precision: str | None = None) -> np.ndarray:
         """Class probabilities in eval mode, without recording gradients.
 
@@ -499,28 +497,22 @@ class Trainer:
         ``dedup`` supplies a precomputed unique-cell index (e.g.
         :attr:`~repro.dataprep.encoding.EncodedCells.dedup`).
 
-        ``workers`` and ``precision`` pass through to
+        ``precision`` passes through to
         :meth:`~repro.inference.engine.InferenceEngine.predict_proba`
-        (``None`` keeps the engine defaults).  The naive path supports
-        ``workers`` (the kernel work plane is chunking-agnostic) but only
-        float64 -- reduced precision lives behind the dedup engine's
+        (``None`` keeps the engine default).  The naive path is float64
+        only -- reduced precision lives behind the dedup engine's
         tolerance-gated, precision-tagged cache.
         """
         self.model.eval()
         if deduplicate:
             self._engine.batch_size = batch_size
             return self._engine.predict_proba(features, lengths=lengths,
-                                              dedup=dedup, workers=workers,
+                                              dedup=dedup,
                                               precision=precision)
         if precision not in (None, "float64"):
             raise ConfigurationError(
                 f"precision={precision!r} requires the dedup engine; "
                 "naive (deduplicate=False) prediction is float64 only")
-        if workers:
-            with use_workers(workers):
-                return predict_proba(self.model, features,
-                                     batch_size=batch_size,
-                                     lengths=lengths, deduplicate=False)
         return predict_proba(self.model, features, batch_size=batch_size,
                              lengths=lengths, deduplicate=False)
 

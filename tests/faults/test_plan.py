@@ -7,9 +7,11 @@ identically, and triggered faults are visible to telemetry.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import telemetry
 from repro.errors import ConfigurationError
 from repro.faults import (
@@ -57,6 +59,15 @@ class TestFaultSpecValidation:
         text = describe_points()
         for name in INJECTION_POINTS:
             assert name in text
+
+    def test_every_registered_point_has_a_call_site(self):
+        # A point whose code was deleted must leave the registry with it.
+        root = Path(repro.__file__).parent
+        source = "\n".join(path.read_text(encoding="utf-8")
+                           for path in sorted(root.rglob("*.py")))
+        orphans = [name for name in INJECTION_POINTS
+                   if f'inject("{name}"' not in source]
+        assert orphans == []
 
 
 class TestPlanFiring:

@@ -5,10 +5,12 @@ the rows still live (see :mod:`repro.nn.kernels`).  These tests pin the
 contract that packing is invisible in the numbers: forward values equal
 the per-step graph backend bit for bit and gradients agree as closely as
 they always have, on unsorted ragged batches whose live count falls to a
-single row, for every cell type and direction; results are byte-identical
-at every work-plane worker count; and masks that are not right-padded are
-refused.
+single row, for every cell type and direction; concurrent calls on
+different threads do not share scratch buffers; and masks that are not
+right-padded are refused.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from repro.nn import StackedRNN, use_backend
 from repro.nn.kernels import gru_level, lstm_level, rnn_level
 from repro.nn.layers.embedding import Embedding
 from repro.nn.layers.rnn import CELL_TYPES
-from repro.nn.parallel import use_workers
 
 pytestmark = pytest.mark.equivalence
 
@@ -92,32 +93,41 @@ class TestFusedMatchesGraph:
         assert unsorted[order].tobytes() == ordered.tobytes()
 
 
-def _level_bytes(level, mult, workers, mask, reverse):
-    rng = np.random.default_rng(5)
-    batch, n_steps = mask.shape
-    x = Tensor(rng.normal(size=(batch, n_steps, 3)), requires_grad=True)
-    w_x = Tensor(0.5 * rng.normal(size=(3, 5 * mult)), requires_grad=True)
-    w_h = Tensor(0.5 * rng.normal(size=(5, 5 * mult)), requires_grad=True)
-    b_h = Tensor(0.1 * rng.normal(size=(5 * mult,)), requires_grad=True)
-    with use_workers(workers):
-        out = level(x, w_x, w_h, b_h, mask=mask, reverse=reverse)
-        (out * out).sum().backward()
-    return [out.data.tobytes()] + [t.grad.tobytes()
-                                   for t in (x, w_x, w_h, b_h)]
+class TestScratchIsolation:
+    def test_concurrent_threads_do_not_corrupt_scratch(self):
+        """Two application threads hammer different shapes concurrently;
+        thread-local scratch keeps every result equal to a quiet run."""
+        level, mult = LEVELS["lstm"]
+        masks = [np.ones(shape, dtype=bool) for shape in [(9, 7), (13, 5)]]
 
+        def forward(mask, seed):
+            rng = np.random.default_rng(seed)
+            batch, n_steps = mask.shape
+            x = Tensor(rng.normal(size=(batch, n_steps, 3)))
+            w_x = Tensor(0.5 * rng.normal(size=(3, 5 * mult)))
+            w_h = Tensor(0.5 * rng.normal(size=(5, 5 * mult)))
+            b_h = Tensor(0.1 * rng.normal(size=(5 * mult,)))
+            return level(x, w_x, w_h, b_h, mask=mask).data.copy()
 
-class TestWorkerCounts:
-    @pytest.mark.parametrize("cell", sorted(LEVELS))
-    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
-    def test_identical_bytes_at_every_worker_count(self, cell, reverse):
-        level, mult = LEVELS[cell]
-        # Skewed and unsorted, so the plane really splits the batch.
-        lengths = [2, 10, 3, 2, 9, 2, 2, 10, 1, 2, 3, 2, 2, 8, 2, 2]
-        mask = _mask(lengths)
-        reference = _level_bytes(level, mult, 0, mask, reverse)
-        for workers in (1, 2, 4):
-            assert _level_bytes(level, mult, workers, mask,
-                                reverse) == reference, workers
+        references = [forward(mask, seed)
+                      for seed, mask in enumerate(masks)]
+        results = [[] for _ in masks]
+        barrier = threading.Barrier(len(masks))
+
+        def worker(index):
+            barrier.wait()
+            for _ in range(25):
+                results[index].append(forward(masks[index], index))
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(len(masks))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for reference, outs in zip(references, results):
+            for out in outs:
+                np.testing.assert_array_equal(out, reference)
 
 
 class TestMaskContract:

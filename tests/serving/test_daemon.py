@@ -50,11 +50,8 @@ class TestRequestReply:
         assert reply["weights_version"] == 0
         reference = build_detector(prepared)
         engine = InferenceEngine(reference.model)
-        try:
-            features, lengths = encode_cells(reference, values, attribute)
-            expected = engine.predict_proba(features, lengths=lengths)
-        finally:
-            engine.close()
+        features, lengths = encode_cells(reference, values, attribute)
+        expected = engine.predict_proba(features, lengths=lengths)
         np.testing.assert_array_equal(np.array(reply["probabilities"]),
                                       expected)
         assert reply["flags"] == list(expected.argmax(axis=1))
