@@ -273,35 +273,26 @@ def cmd_repair(args) -> int:
     return 0
 
 
-def _score_csv(detector: ErrorDetector, dirty: Table) -> Table | None:
-    """Score every cell of ``dirty`` with a loaded detector.
+def _flagged_cells(detector: ErrorDetector, dirty: Table) -> Table | None:
+    """The cells of ``dirty`` a loaded detector flags (argmax is error).
 
     Returns the flagged-cells table, or ``None`` when no column matches
-    the model's attributes.  Prediction runs through the detector's
+    the model's attributes.  Scoring runs through the detector's
     dedup-memoized inference engine, so duplicate cells (and, across
     calls, previously seen cells) skip the network.
     """
-    from repro.models.serialization import encode_values_for
-
-    known = set(detector.prepared.attributes)
-    usable = [name for name in dirty.column_names if name in known]
-    skipped = [name for name in dirty.column_names if name not in known]
+    columns, probabilities = detector.score_table(dirty)
+    skipped = [name for name in dirty.column_names if name not in columns]
     if skipped:
         print(f"skipping columns the model never saw: {skipped}",
               file=sys.stderr)
-    if not usable:
+    if not columns:
         return None
-
-    rows, attrs, values = [], [], []
-    for name in usable:
-        for i, value in enumerate(dirty.column(name).values):
-            rows.append(i)
-            attrs.append(name)
-            values.append("" if value is None else str(value))
-    features = encode_values_for(detector, values, attrs)
-    predictions = detector.predict(features)
-    flagged = [(rows[i], attrs[i], values[i])
-               for i in range(len(rows)) if predictions[i] == 1]
+    flags = probabilities.argmax(axis=1) == 1
+    flagged = [(i, name, "" if value is None else str(value))
+               for j, name in enumerate(columns)
+               for i, value in enumerate(dirty.column(name).values)
+               if flags[j * dirty.n_rows + i]]
     return Table({
         "row": [r for r, _, __ in flagged],
         "attribute": [a for _, a, __ in flagged],
@@ -327,7 +318,7 @@ def cmd_predict(args) -> int:
 
     detector = load_detector(args.model)
     _configure_inference(detector, args)
-    out = _score_csv(detector, read_csv(args.dirty))
+    out = _flagged_cells(detector, read_csv(args.dirty))
     if out is None:
         print("error: no column of this CSV matches the model's attributes",
               file=sys.stderr)
@@ -422,7 +413,7 @@ def cmd_serve(args) -> int:
     for path in args.inputs:
         try:
             table = read_csv(path)
-            out = _score_csv(detector, table)
+            out = _flagged_cells(detector, table)
         except (OSError, DataError, TableError, ConfigurationError) as exc:
             failures.append((str(path), f"{type(exc).__name__}: {exc}"))
             print(f"{path}: FAILED ({failures[-1][1]})", file=sys.stderr)

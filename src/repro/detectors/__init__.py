@@ -33,16 +33,17 @@ from repro.detectors.registry import build, get, list_detectors, register
 
 # Importing the implementations populates the registry as a side effect.
 from repro.detectors.adapters import (  # noqa: E402
-    AttnDetector,
     AugmentAdapter,
-    ETSBDetector,
-    FixedSampler,
-    NeuralDetector,
     RahaAdapter,
-    TSBDetector,
     table_digest,
 )
 from repro.detectors.ensemble import EnsembleDetector  # noqa: E402
+
+# The neural families (tsb/etsb/attn) are ErrorDetector subclasses that
+# register in their own module.  A plain module import, because that
+# module imports this package's base: when it is the one being imported
+# first, it is still initialising here and registers once it finishes.
+import repro.models.detector  # noqa: E402,F401
 
 __all__ = [
     "CAPABILITIES",
@@ -60,13 +61,8 @@ __all__ = [
     "get",
     "list_detectors",
     "register",
-    "AttnDetector",
     "AugmentAdapter",
-    "ETSBDetector",
     "EnsembleDetector",
-    "FixedSampler",
-    "NeuralDetector",
     "RahaAdapter",
-    "TSBDetector",
     "table_digest",
 ]

@@ -1,10 +1,11 @@
-"""Registry adapters wrapping the existing detector implementations.
+"""Registry adapters over the baseline detectors.
 
-Each adapter folds one entry point -- :class:`ErrorDetector` for the
-neural families, :class:`RahaDetector`, :class:`AugmentationDetector` --
-into the uniform :class:`~repro.detectors.base.Detector` protocol, so
-ensembles, experiment tables, the CLI and the conformance suite treat
-them interchangeably.
+Each adapter folds one baseline -- :class:`RahaDetector`,
+:class:`AugmentationDetector` -- into the uniform
+:class:`~repro.detectors.base.Detector` protocol, so ensembles,
+experiment tables, the CLI and the conformance suite treat them like the
+neural families (which implement the protocol directly, see
+:class:`~repro.models.detector.ErrorDetector`).
 """
 
 from __future__ import annotations
@@ -26,53 +27,13 @@ from repro.detectors.base import (
     POINTWISE,
     TRANSDUCTIVE,
     Detector,
+    atomic_savez,
+    npz_path,
 )
 from repro.detectors.registry import register
-from repro.errors import ConfigurationError, DataError, NotFittedError
-from repro.models import ErrorDetector, ModelConfig, TrainingConfig
-from repro.models.serialization import (
-    encode_values_for,
-    load_detector,
-    save_detector,
-)
-from repro.sampling import DiverSet, Sampler
+from repro.errors import DataError, NotFittedError
+from repro.sampling import DiverSet
 from repro.table import Table
-
-#: Tiny widths shared by every ``example()`` (conformance-suite speed).
-_EXAMPLE_MODEL = dict(char_embed_dim=6, value_units=8, attr_embed_dim=3,
-                      attr_units=3, length_dense_units=6, head_units=8,
-                      attn_dim=6)
-
-
-class FixedSampler(Sampler):
-    """A sampler returning a preset tuple-id list.
-
-    Lets a caller (the ensemble's cross-fit folds, the comparison
-    runner's shared labelled set) pin exactly which tuples a neural
-    detector trains on while reusing the untouched
-    :class:`ErrorDetector` pipeline.  Ignores ``rng`` -- the selection
-    is already made -- but still validates against the prepared data.
-    """
-
-    name = "fixed"
-
-    def __init__(self, tuple_ids):
-        self.tuple_ids = [int(t) for t in tuple_ids]
-        if len(set(self.tuple_ids)) != len(self.tuple_ids):
-            raise ConfigurationError(
-                f"tuple_ids must be distinct, got {self.tuple_ids}")
-
-    def select(self, n_obs, prepared, rng):
-        if n_obs != len(self.tuple_ids):
-            raise ConfigurationError(
-                f"FixedSampler holds {len(self.tuple_ids)} tuples but "
-                f"{n_obs} were requested")
-        available = set(prepared.tuple_ids())
-        missing = [t for t in self.tuple_ids if t not in available]
-        if missing:
-            raise ConfigurationError(
-                f"tuple ids {missing} not present in the prepared data")
-        return list(self.tuple_ids)
 
 
 def table_digest(table: Table) -> str:
@@ -85,166 +46,6 @@ def table_digest(table: Table) -> str:
             digest.update(_normalise_cell(value).encode())
             digest.update(b"\x01")
     return digest.hexdigest()
-
-
-def _cells_row_major(table: Table) -> tuple[list[str], list[str]]:
-    """(values, attributes) flattened row-major, cells normalised."""
-    names = table.column_names
-    columns = [table.column(name).values for name in names]
-    values: list[str] = []
-    attributes: list[str] = []
-    for i in range(table.n_rows):
-        for name, column in zip(names, columns):
-            values.append(_normalise_cell(column[i]))
-            attributes.append(name)
-    return values, attributes
-
-
-# -- neural families ----------------------------------------------------------
-
-
-class NeuralDetector(Detector):
-    """Adapter over :class:`ErrorDetector` for one registered architecture.
-
-    Parameters mirror the wrapped class; ``model_config`` /
-    ``training_config`` accept plain dicts (the JSON-serialisable
-    registry form) or the dataclasses.
-    """
-
-    architecture = ""
-    capabilities = frozenset({POINTWISE})
-
-    def __init__(self, n_label_tuples: int = 20,
-                 model_config: dict | ModelConfig | None = None,
-                 training_config: dict | TrainingConfig | None = None,
-                 seed: int = 0):
-        if isinstance(model_config, dict):
-            model_config = ModelConfig(**model_config)
-        if isinstance(training_config, dict):
-            training_config = TrainingConfig(**training_config)
-        self.n_label_tuples = n_label_tuples
-        self.model_config = model_config
-        self.training_config = training_config
-        self.seed = seed
-        self._detector: ErrorDetector | None = None
-        self._columns: tuple[str, ...] | None = None
-
-    def fit(self, pair: DatasetPair,
-            labeled_rows: list[int] | None = None) -> "NeuralDetector":
-        if labeled_rows is not None:
-            sampler: Sampler = FixedSampler(labeled_rows)
-            n_label = len(labeled_rows)
-        else:
-            sampler = DiverSet()
-            n_label = self.n_label_tuples
-        self._detector = ErrorDetector(
-            architecture=self.architecture, sampler=sampler,
-            n_label_tuples=n_label, model_config=self.model_config,
-            training_config=self.training_config, seed=self.seed)
-        self._detector.fit(pair)
-        self._columns = tuple(pair.dirty.column_names)
-        return self
-
-    def _require_fitted(self) -> ErrorDetector:
-        if self._detector is None:
-            raise NotFittedError(f"{self.name}: fit() has not been called")
-        return self._detector
-
-    def score_cells(self, table: Table) -> np.ndarray:
-        detector = self._require_fitted()
-        if self._columns is not None \
-                and tuple(table.column_names) != self._columns:
-            raise DataError(
-                f"{self.name} was fitted on columns {self._columns}, "
-                f"got {tuple(table.column_names)}")
-        values, attributes = _cells_row_major(table)
-        features = encode_values_for(detector, values, attributes)
-        assert detector.trainer is not None
-        probabilities = detector.trainer.predict_proba(
-            features, deduplicate=detector.deduplicate,
-            precision=detector.inference_precision)
-        return probabilities[:, 1].reshape(table.n_rows, table.n_cols)
-
-    def config(self) -> dict:
-        from dataclasses import asdict
-        return {
-            "n_label_tuples": self.n_label_tuples,
-            "model_config": (None if self.model_config is None
-                             else asdict(self.model_config)),
-            "training_config": (None if self.training_config is None
-                                else asdict(self.training_config)),
-            "seed": self.seed,
-        }
-
-    def _state_digest(self) -> str | None:
-        if self._detector is None or self._detector.model is None:
-            return None
-        digest = hashlib.sha256()
-        state = self._detector.model.state_dict()
-        for key in sorted(state):
-            digest.update(key.encode())
-            digest.update(np.ascontiguousarray(state[key]).tobytes())
-        return digest.hexdigest()[:16]
-
-    def save(self, path: str | Path) -> None:
-        save_detector(self._require_fitted(), path)
-        # Re-pack with the adapter-level config (n_label_tuples is not
-        # part of the detector archive) so load() rebuilds an adapter
-        # whose config() -- and hence fingerprint -- matches exactly.
-        with np.load(path, allow_pickle=False) as archive:
-            arrays = {name: archive[name] for name in archive.files}
-        arrays["adapter_meta"] = np.array(json.dumps(self.config()))
-        np.savez(path, **arrays)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "NeuralDetector":
-        with np.load(path, allow_pickle=False) as archive:
-            adapter_config = (json.loads(str(archive["adapter_meta"]))
-                              if "adapter_meta" in archive.files else None)
-        inner = load_detector(path)
-        if inner.architecture != cls.architecture:
-            raise DataError(
-                f"{path}: archive holds a {inner.architecture!r} model, "
-                f"not {cls.architecture!r}")
-        if adapter_config is not None:
-            adapter = cls(**adapter_config)
-        else:  # plain save_detector archive: adapter defaults apply
-            adapter = cls(model_config=inner.model_config,
-                          training_config=inner.training_config,
-                          seed=inner.seed)
-        adapter._detector = inner
-        assert inner.prepared is not None
-        adapter._columns = tuple(inner.prepared.attributes)
-        return adapter
-
-    @classmethod
-    def example(cls, seed: int = 0) -> "NeuralDetector":
-        return cls(n_label_tuples=6, model_config=dict(_EXAMPLE_MODEL),
-                   training_config={"epochs": 2}, seed=seed)
-
-
-@register
-class TSBDetector(NeuralDetector):
-    """The paper's two-stacked bidirectional value RNN."""
-
-    name = "tsb"
-    architecture = "tsb"
-
-
-@register
-class ETSBDetector(NeuralDetector):
-    """The enriched three-branch BiRNN (the paper's best model)."""
-
-    name = "etsb"
-    architecture = "etsb"
-
-
-@register
-class AttnDetector(NeuralDetector):
-    """The pattern-perceptive self-attention encoder."""
-
-    name = "attn"
-    architecture = "attn"
 
 
 # -- Raha ---------------------------------------------------------------------
@@ -315,12 +116,12 @@ class RahaAdapter(Detector):
             raise NotFittedError("raha: fit() has not been called")
         meta = {"config": self.config(), "digest": self._digest,
                 "columns": list(self._columns or ())}
-        np.savez(path, meta=np.array(json.dumps(meta)),
-                 predictions=self._predictions)
+        atomic_savez(npz_path(path), {"meta": np.array(json.dumps(meta)),
+                                      "predictions": self._predictions})
 
     @classmethod
     def load(cls, path: str | Path) -> "RahaAdapter":
-        with np.load(path, allow_pickle=False) as archive:
+        with np.load(npz_path(path), allow_pickle=False) as archive:
             meta = json.loads(str(archive["meta"]))
             predictions = archive["predictions"]
         adapter = cls(**meta["config"])
@@ -434,12 +235,13 @@ class AugmentAdapter(Detector):
         meta = {"config": self.config(),
                 "columns": list(self._columns or ()),
                 "models": columns_meta}
-        np.savez(path, meta=np.array(json.dumps(meta)), **arrays)
+        atomic_savez(npz_path(path),
+                     {"meta": np.array(json.dumps(meta)), **arrays})
 
     @classmethod
     def load(cls, path: str | Path) -> "AugmentAdapter":
         from repro.baselines.logreg import LogisticRegression
-        with np.load(path, allow_pickle=False) as archive:
+        with np.load(npz_path(path), allow_pickle=False) as archive:
             meta = json.loads(str(archive["meta"]))
             coefs = {name[len("coef:"):]: archive[name]
                      for name in archive.files if name.startswith("coef:")}

@@ -15,6 +15,7 @@ from __future__ import annotations
 import abc
 import hashlib
 import json
+import os
 
 from pathlib import Path
 
@@ -39,6 +40,33 @@ TRANSDUCTIVE = "transductive"
 PROCESS_LOCAL = "process_local"
 
 CAPABILITIES = (POINTWISE, TRANSDUCTIVE, PROCESS_LOCAL)
+
+
+def npz_path(path: str | Path) -> Path:
+    """``path`` with ``.npz`` appended unless it already ends so.
+
+    ``np.savez`` appends the suffix to a bare name; applying the same
+    rule on save and on load makes ``save(p)`` / ``load(p)`` agree.
+    """
+    path = Path(path)
+    return path if path.suffix == ".npz" else path.with_name(path.name + ".npz")
+
+
+def atomic_savez(path: Path, arrays: dict[str, np.ndarray]) -> None:
+    """Write an ``.npz`` with write-then-rename atomicity.
+
+    The temp file lives in the destination directory so the final
+    ``os.replace`` is a same-filesystem rename: readers only ever see
+    the old complete archive or the new complete archive.
+    """
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+    try:
+        with open(tmp, "wb") as handle:
+            np.savez(handle, **arrays)
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():
+            tmp.unlink()
 
 
 class Detector(abc.ABC):
@@ -111,7 +139,11 @@ class Detector(abc.ABC):
 
     @abc.abstractmethod
     def save(self, path: str | Path) -> None:
-        """Serialise the fitted detector to ``path`` (no pickle)."""
+        """Serialise the fitted detector to ``path`` (no pickle).
+
+        Single-file archives follow :func:`npz_path`: a bare ``path``
+        gains ``.npz`` on save and on load alike.
+        """
 
     @classmethod
     @abc.abstractmethod

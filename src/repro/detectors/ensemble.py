@@ -283,17 +283,10 @@ class EnsembleDetector(Detector):
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         ensemble = cls(**{**meta["config"],
                           "members": [tuple(m) for m in meta["config"]["members"]]})
-        ensemble._members = []
-        for i, (name, config) in enumerate(ensemble._specs):
-            loaded = get(name).load(path / f"member_{i}.npz")
-            # Rebuild from the spec so config() (and hence the
-            # fingerprint) matches the saving instance exactly, then
-            # graft the fitted state (underscore attrs by convention).
-            member = build(name, **config)
-            member.__dict__.update(
-                {k: v for k, v in loaded.__dict__.items()
-                 if k.startswith("_")})
-            ensemble._members.append(member)
+        # Every member archive carries its member's config, so the
+        # loaded members' fingerprints equal the saving instance's.
+        ensemble._members = [get(name).load(path / f"member_{i}.npz")
+                             for i, (name, _) in enumerate(ensemble._specs)]
         ensemble._calibrators = [restore_calibrator(s)
                                  for s in meta["calibrators"]]
         ensemble._mode = tuple(meta["mode"])

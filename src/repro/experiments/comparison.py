@@ -4,7 +4,7 @@ The registry (:mod:`repro.detectors`) makes every family scoreable the
 same way, so this module runs them side by side under the strictest
 protocol: per run seed, *one* DiverSet labelled-row set is drawn and
 handed to every detector (neural families train on exactly those tuples
-via ``FixedSampler``), and metrics are computed on all cells of the
+via ``labeled_rows``), and metrics are computed on all cells of the
 non-labelled tuples.  Because the ensemble's raw-member candidates fit
 on the same rows, an ensemble that arbitrates to a lone raw member
 reproduces that member's row byte for byte -- differences in the table
@@ -30,6 +30,7 @@ from repro.experiments.runner import (
     RunResult,
 )
 from repro.metrics import ClassificationReport
+from repro.models import ErrorDetector
 from repro.sampling import DiverSet
 
 #: Report labels per registry detector (Table 3 naming).
@@ -55,17 +56,12 @@ def _default_config(name: str, n_label_tuples: int, epochs: int | None,
         neural["model_config"] = dict(model_config)
     if name == "ensemble":
         config["members"] = [
-            (member, dict(neural) if issubclass(get(member),
-                                                _neural_base()) else {})
+            (member, dict(neural) if issubclass(get(member), ErrorDetector)
+             else {})
             for member in DEFAULT_ENSEMBLE_MEMBERS]
-    elif issubclass(get(name), _neural_base()):
+    elif issubclass(get(name), ErrorDetector):
         config = neural
     return config
-
-
-def _neural_base():
-    from repro.detectors import NeuralDetector
-    return NeuralDetector
 
 
 def run_detector_comparison(pair: DatasetPair,
@@ -141,7 +137,7 @@ def run_ensemble_baseline(pair: DatasetPair,
     if epochs is not None:
         neural["training_config"] = {"epochs": epochs}
     member_specs = [
-        (member, dict(neural) if issubclass(get(member), _neural_base())
+        (member, dict(neural) if issubclass(get(member), ErrorDetector)
          else {})
         for member in members]
     results = run_detector_comparison(

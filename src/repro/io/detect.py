@@ -118,30 +118,18 @@ def _score_with_weak_labels(item: IngestedTable,
 def _score_with_model(item: IngestedTable,
                       profiles: dict[str, ColumnProfile],
                       detector: ErrorDetector) -> tuple[CellScore, ...]:
-    from repro.models.serialization import encode_values_for
-
     table = item.table
-    known = set(detector.prepared.attributes)
-    usable = [name for name in table.column_names if name in known]
-    if not usable:
-        return ()
-    rows, attrs, cell_values = [], [], []
-    for name in usable:
-        for i, value in enumerate(table.column(name).values):
-            rows.append(i)
-            attrs.append(name)
-            cell_values.append("" if value is None else str(value))
-    features = encode_values_for(detector, cell_values, attrs)
-    probabilities = detector.trainer.predict_proba(
-        features, deduplicate=detector.deduplicate,
-        precision=detector.inference_precision)
-    return tuple(
-        CellScore(table=item.name, row=rows[i], attribute=attrs[i],
-                  value=cell_values[i], score=float(probabilities[i, 1]),
-                  flagged=bool(probabilities[i, 1] >= probabilities[i, 0]),
-                  conforms=conforming_mask(profiles[attrs[i]],
-                                           [cell_values[i]])[0])
-        for i in range(len(rows)))
+    columns, probabilities = detector.score_table(table)
+    scores = []
+    for j, attribute in enumerate(columns):
+        for i, raw in enumerate(table.column(attribute).values):
+            value = "" if raw is None else str(raw)
+            proba = probabilities[j * table.n_rows + i]
+            scores.append(CellScore(
+                table=item.name, row=i, attribute=attribute, value=value,
+                score=float(proba[1]), flagged=bool(proba[1] >= proba[0]),
+                conforms=conforming_mask(profiles[attribute], [value])[0]))
+    return tuple(scores)
 
 
 def detect_path(path: str | Path, *, detector: ErrorDetector | None = None,

@@ -3,13 +3,19 @@
 :class:`ErrorDetector` wires the whole pipeline together: data
 preparation, trainset selection, label acquisition (from the clean table
 or a user-supplied labelling function), training with best-train-loss
-checkpointing, and evaluation on the held-out cells.
+checkpointing, and evaluation on the held-out cells.  It implements the
+registry's :class:`~repro.detectors.base.Detector` protocol itself: the
+``tsb``/``etsb``/``attn`` registry entries are the subclasses at the
+bottom of this module, which only fix the architecture.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -21,7 +27,9 @@ from repro.dataprep import (
     split_by_tuple_ids,
 )
 from repro.datasets.base import DatasetPair
-from repro.errors import ConfigurationError, NotFittedError
+from repro.detectors.base import POINTWISE, Detector
+from repro.detectors.registry import register
+from repro.errors import ConfigurationError, DataError, NotFittedError
 from repro.inference import InferenceStats, PredictionCache
 from repro.inference.index import DedupIndex
 from repro.metrics import ClassificationReport
@@ -47,6 +55,11 @@ ARCHITECTURES = ("tsb", "etsb", "attn")
 
 #: Maps a tuple id and its attribute-ordered dirty values to 0/1 labels.
 LabelFunction = Callable[[int, dict[str, str]], Sequence[int]]
+
+#: Tiny widths shared by every ``example()`` (conformance-suite speed).
+_EXAMPLE_MODEL = dict(char_embed_dim=6, value_units=8, attr_embed_dim=3,
+                      attr_units=3, length_dense_units=6, head_units=8,
+                      attn_dim=6)
 
 
 def build_model(architecture: str, prepared: PreparedData,
@@ -118,19 +131,21 @@ class DetectionResult:
         ]
 
 
-class ErrorDetector:
+class ErrorDetector(Detector):
     """Detect erroneous cells in a dirty table with a BiRNN classifier.
 
     Parameters
     ----------
     architecture:
-        ``"etsb"`` (default, the paper's best model) or ``"tsb"``.
+        ``"etsb"`` (default, the paper's best model), ``"tsb"`` or
+        ``"attn"``.  The registered subclasses fix it.
     sampler:
         Trainset-selection algorithm (default: the paper's DiverSet).
     n_label_tuples:
         Number of tuples the user labels (the paper uses 20).
     model_config, training_config:
-        Architecture and training hyperparameters.
+        Architecture and training hyperparameters, as dataclasses or as
+        the plain dicts :meth:`config` returns.
     seed:
         Controls initialization, batching and sampler tie-breaks.
     extra_callbacks:
@@ -149,19 +164,25 @@ class ErrorDetector:
         ``deduplicate``).
     """
 
-    def __init__(self, architecture: str = "etsb",
+    architecture = "etsb"
+    capabilities = frozenset({POINTWISE})
+
+    def __init__(self, architecture: str | None = None,
                  sampler: Sampler | None = None,
                  n_label_tuples: int = 20,
-                 model_config: ModelConfig | None = None,
-                 training_config: TrainingConfig | None = None,
+                 model_config: ModelConfig | dict | None = None,
+                 training_config: TrainingConfig | dict | None = None,
                  seed: int = 0,
                  extra_callbacks: Sequence[Callback] = (),
                  deduplicate: bool = True,
                  prediction_cache_size: int = 65536,
                  inference_precision: str = "float64"):
-        if architecture not in ARCHITECTURES:
+        if architecture is None:
+            architecture = type(self).architecture
+        allowed = (type(self).architecture,) if self.name else ARCHITECTURES
+        if architecture not in allowed:
             raise ConfigurationError(
-                f"architecture must be one of {ARCHITECTURES}, got {architecture!r}"
+                f"architecture must be one of {allowed}, got {architecture!r}"
             )
         if inference_precision not in PRECISION_MODES:
             raise ConfigurationError(
@@ -175,6 +196,10 @@ class ErrorDetector:
             raise ConfigurationError(
                 "reduced-precision inference requires the dedup engine; "
                 "drop deduplicate=False or use float64")
+        if isinstance(model_config, dict):
+            model_config = ModelConfig(**model_config)
+        if isinstance(training_config, dict):
+            training_config = TrainingConfig(**training_config)
         self.architecture = architecture
         self.sampler = sampler if sampler is not None else DiverSet()
         self.n_label_tuples = n_label_tuples
@@ -194,32 +219,42 @@ class ErrorDetector:
 
     # -- fitting ---------------------------------------------------------------
 
-    def fit(self, pair: DatasetPair,
+    def fit(self, pair: DatasetPair, labeled_rows: list[int] | None = None,
             checkpoint_path: "str | Path | None" = None,
             resume_from: "str | Path | None" = None) -> "ErrorDetector":
-        """Fit on a benchmark pair, labelling sampled tuples from the clean table.
+        """Fit on a benchmark pair, labelling tuples from the clean table.
 
         This mirrors the paper's experiments: the user's labelling of the
         20 selected tuples is simulated with the ground truth, and *only*
-        those tuples' labels are ever shown to the model.
+        those tuples' labels are ever shown to the model.  The sampler
+        picks ``n_label_tuples`` tuples unless ``labeled_rows`` pins
+        them (the registry protocol).
 
         ``checkpoint_path`` / ``resume_from`` pass through to
         :meth:`repro.nn.training.Trainer.fit`: epoch checkpoints are
         written atomically, and resuming from one after a crash yields
         final weights bit-identical to the uninterrupted fit.
         """
-        return self.fit_tables(pair.dirty, pair.clean,
+        return self.fit_tables(pair.dirty, pair.clean, labeled_rows,
                                checkpoint_path=checkpoint_path,
                                resume_from=resume_from)
 
     def fit_tables(self, dirty: Table, clean: Table,
+                   labeled_rows: list[int] | None = None,
                    checkpoint_path: "str | Path | None" = None,
                    resume_from: "str | Path | None" = None) -> "ErrorDetector":
-        """Fit from explicit dirty/clean tables (ground-truth labelling)."""
+        """Fit from explicit dirty/clean tables (ground-truth labelling).
+
+        Pinned ``labeled_rows`` go straight to the split, which rejects
+        duplicate or unknown ids; no sampler runs, so the seeded
+        generator reaches training unconsumed.
+        """
         prepared = prepare(dirty, clean)
         rng = np.random.default_rng(self.seed)
-        train_ids = self.sampler.select(self.n_label_tuples, prepared, rng)
-        split = split_by_tuple_ids(prepared, train_ids)
+        if labeled_rows is None:
+            labeled_rows = self.sampler.select(self.n_label_tuples,
+                                               prepared, rng)
+        split = split_by_tuple_ids(prepared, labeled_rows)
         return self._train(prepared, split, rng,
                            checkpoint_path=checkpoint_path,
                            resume_from=resume_from)
@@ -385,6 +420,35 @@ class ErrorDetector:
             telemetry.get_registry().emit(record)
         return result
 
+    def score_table(self, table: Table) -> tuple[list[str], np.ndarray]:
+        """Error probabilities for every cell of ``table``'s known columns.
+
+        Returns ``(columns, probabilities)``: the columns of ``table``
+        the detector was fitted on, in table order, and their cells'
+        ``[clean, error]`` probabilities, ``(len(columns) * n_rows, 2)``,
+        flattened column-major (every row of ``columns[0]`` first).
+        Other columns are skipped.  Prediction runs through the dedup
+        engine and the cross-call cache, without ``lengths``.
+        """
+        from repro.models import serialization
+
+        if self.prepared is None or self.trainer is None:
+            raise NotFittedError("fit() has not been called")
+        known = set(self.prepared.attributes)
+        columns = [name for name in table.column_names if name in known]
+        if not columns:
+            return columns, np.zeros((0, 2))
+        values: list = []
+        attributes: list[str] = []
+        for name in columns:
+            values.extend(table.column(name).values)
+            attributes.extend([name] * table.n_rows)
+        features = serialization.encode_values_for(self, values, attributes)
+        probabilities = self.trainer.predict_proba(
+            features, deduplicate=self.deduplicate,
+            precision=self.inference_precision)
+        return columns, probabilities
+
     def predict_table(self) -> list[tuple[int, str]]:
         """Predicted-erroneous cells over the *whole* table (train + test)."""
         from repro.dataprep import encode_cells
@@ -402,3 +466,90 @@ class ErrorDetector:
                                        encoded.attribute_names, predictions)
             if pred == 1
         ]
+
+    # -- registry protocol -----------------------------------------------------
+
+    def score_cells(self, table: Table) -> np.ndarray:
+        fitted = None if self.prepared is None else tuple(self.prepared.attributes)
+        if fitted is not None and tuple(table.column_names) != fitted:
+            raise DataError(f"{self.name} was fitted on columns {fitted}, "
+                            f"got {tuple(table.column_names)}")
+        columns, probabilities = self.score_table(table)
+        return np.ascontiguousarray(
+            probabilities[:, 1].reshape(len(columns), table.n_rows).T)
+
+    def config(self) -> dict:
+        """Registry kwargs; a config equal to its defaults reads ``None``."""
+        return {
+            "n_label_tuples": self.n_label_tuples,
+            "model_config": (None if self.model_config == ModelConfig()
+                             else asdict(self.model_config)),
+            "training_config": (None if self.training_config == TrainingConfig()
+                                else asdict(self.training_config)),
+            "seed": self.seed,
+        }
+
+    def _state_digest(self) -> str | None:
+        if self.model is None:
+            return None
+        digest = hashlib.sha256()
+        state = self.model.state_dict()
+        for key in sorted(state):
+            digest.update(key.encode())
+            digest.update(np.ascontiguousarray(state[key]).tobytes())
+        return digest.hexdigest()[:16]
+
+    def save(self, path: str | Path) -> None:
+        """:func:`~repro.models.serialization.save_detector`."""
+        from repro.models.serialization import save_detector
+        save_detector(self, path)
+
+    @classmethod
+    def load(cls, path: str | Path) -> "ErrorDetector":
+        """:func:`~repro.models.serialization.load_detector`, refusing an
+        archive of another architecture."""
+        from repro.models.serialization import load_detector
+        detector = load_detector(path)
+        if not isinstance(detector, cls):
+            raise DataError(
+                f"{path}: archive holds a {detector.architecture!r} model, "
+                f"not {cls.architecture!r}")
+        return detector
+
+    @classmethod
+    def example(cls, seed: int = 0) -> "ErrorDetector":
+        return cls(n_label_tuples=6, model_config=dict(_EXAMPLE_MODEL),
+                   training_config={"epochs": 2}, seed=seed)
+
+
+@register
+class TSBDetector(ErrorDetector):
+    """The paper's two-stacked bidirectional value RNN."""
+
+    name = "tsb"
+    architecture = "tsb"
+
+
+@register
+class ETSBDetector(ErrorDetector):
+    """The enriched three-branch BiRNN (the paper's best model)."""
+
+    name = "etsb"
+    architecture = "etsb"
+
+
+@register
+class AttnDetector(ErrorDetector):
+    """The pattern-perceptive self-attention encoder."""
+
+    name = "attn"
+    architecture = "attn"
+
+
+def detector_class(architecture: str) -> type[ErrorDetector]:
+    """The registered detector class of one architecture."""
+    for cls in (TSBDetector, ETSBDetector, AttnDetector):
+        if cls.architecture == architecture:
+            return cls
+    raise ConfigurationError(
+        f"architecture must be one of {ARCHITECTURES}, got {architecture!r}")

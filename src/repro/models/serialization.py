@@ -5,10 +5,11 @@ weights: prediction needs the character and attribute dictionaries and
 the padded sequence length from data preparation.  ``save_detector``
 packs all of it into a single ``.npz`` archive (weights as arrays,
 metadata as a JSON payload); ``load_detector`` reconstructs a detector
-that predicts identically.  Format version 2 additionally carries the
-optimizer's update state (RMSprop mean squares etc.), making a restored
-detector truly resumable; version-1 archives still load (with a fresh
-optimizer).
+that predicts identically.  This is the one archive format of every
+neural detector, :meth:`ErrorDetector.save`/``load`` included.  Format
+version 2 carries the optimizer's update state (RMSprop mean squares
+etc.), making a restored detector truly resumable; version-1 archives
+are rejected with a conversion hint.
 
 This module also owns the *training checkpoint* format used by
 :meth:`repro.nn.training.Trainer.fit` for crash safety: one ``.npz``
@@ -23,7 +24,6 @@ weight trajectory bit for bit.
 from __future__ import annotations
 
 import json
-import os
 
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -32,36 +32,25 @@ import numpy as np
 
 from repro.dataprep import PreparedData
 from repro.dataprep.dictionaries import AttributeDictionary, CharDictionary
+from repro.dataprep.pipeline import _normalise_cell
+from repro.detectors.base import atomic_savez, npz_path
 from repro.errors import ConfigurationError, DataError, NotFittedError
 from repro.models.config import ModelConfig, TrainingConfig
-from repro.models.detector import ErrorDetector, build_model
+from repro.models.detector import (
+    ErrorDetector,
+    build_model,
+    detector_class,
+)
 from repro.nn.callbacks import Callback
 from repro.nn.module import Module
-from repro.nn.optim import Optimizer
+from repro.nn.optim import Optimizer, RMSprop
 from repro.table import Table
 
-#: Detector archive version: 2 added the optimizer state (v1 still loads).
+#: Detector archive version: 2 added the optimizer state.
 _FORMAT_VERSION = 2
 
 #: Training-checkpoint archive version.
 _CHECKPOINT_VERSION = 1
-
-
-def _atomic_savez(path: Path, arrays: dict[str, np.ndarray]) -> None:
-    """Write an ``.npz`` with write-then-rename atomicity.
-
-    The temp file lives in the destination directory so the final
-    ``os.replace`` is a same-filesystem rename: readers only ever see
-    the old complete archive or the new complete archive.
-    """
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    try:
-        with open(tmp, "wb") as handle:
-            np.savez(handle, **arrays)
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
 
 
 def _dictionary_chars(char_index: CharDictionary) -> str:
@@ -75,7 +64,10 @@ def save_detector(detector: ErrorDetector, path: str | Path) -> None:
 
     Version 2 includes the optimizer's update state, so a loaded
     detector can genuinely resume training where it stopped instead of
-    restarting RMSprop's moving averages from zero.
+    restarting RMSprop's moving averages from zero.  A detector whose
+    model was built without a trainer gets a fresh paper-default
+    RMSprop's state.  ``path`` follows
+    :func:`~repro.detectors.base.npz_path`, and the write is atomic.
 
     Raises
     ------
@@ -85,52 +77,60 @@ def save_detector(detector: ErrorDetector, path: str | Path) -> None:
     if detector.model is None or detector.prepared is None:
         raise NotFittedError("cannot save an unfitted detector")
     prepared = detector.prepared
+    optimizer = (detector.trainer.optimizer if detector.trainer is not None
+                 else RMSprop(detector.model.parameters()))
+    opt_state = optimizer.state_dict()
     meta = {
         "format_version": _FORMAT_VERSION,
         "architecture": detector.architecture,
+        "n_label_tuples": detector.n_label_tuples,
         "model_config": asdict(detector.model_config),
         "training_config": asdict(detector.training_config),
         "characters": _dictionary_chars(prepared.char_index),
         "attributes": list(prepared.attributes),
         "max_length": prepared.max_length,
         "seed": detector.seed,
-    }
-    arrays = {
-        f"state:{name}": value
-        for name, value in detector.model.state_dict().items()
-    }
-    if detector.trainer is not None:
-        opt_state = detector.trainer.optimizer.state_dict()
-        meta["optimizer"] = {
+        "optimizer": {
             "type": opt_state["type"],
             "learning_rate": opt_state["learning_rate"],
             "extra": opt_state["extra"],
             "slots": {name: len(values)
                       for name, values in opt_state["slots"].items()},
-        }
-        for slot, values in opt_state["slots"].items():
-            for i, value in enumerate(values):
-                arrays[f"opt:{slot}:{i:04d}"] = value
-    path = Path(path)
-    if path.suffix != ".npz":        # np.savez appends .npz to bare names;
-        path = path.with_name(path.name + ".npz")  # keep the atomic path aligned
-    _atomic_savez(path, {"meta": np.asarray(json.dumps(meta)), **arrays})
+        },
+    }
+    arrays = {
+        f"state:{name}": value
+        for name, value in detector.model.state_dict().items()
+    }
+    for slot, values in opt_state["slots"].items():
+        for i, value in enumerate(values):
+            arrays[f"opt:{slot}:{i:04d}"] = value
+    atomic_savez(npz_path(path),
+                 {"meta": np.asarray(json.dumps(meta)), **arrays})
 
 
 def load_detector(path: str | Path) -> ErrorDetector:
     """Reconstruct a detector saved with :func:`save_detector`.
 
-    The returned detector can :meth:`~repro.models.detector.ErrorDetector.predict`
+    Returns the registered detector class of the archived architecture
+    (``tsb``/``etsb``/``attn``).  The detector can
+    :meth:`~repro.models.detector.ErrorDetector.predict`, score tables
     and encode new values; it carries no training split (``evaluate`` is
-    unavailable -- re-fit for that).
+    unavailable -- re-fit for that).  An archive without
+    ``n_label_tuples`` gets the constructor default.
     """
-    path = Path(path)
+    path = npz_path(path)
     with np.load(path, allow_pickle=False) as archive:
         if "meta" not in archive:
             raise DataError(f"{path}: not a repro detector archive")
         meta = json.loads(str(archive["meta"]))
         version = meta.get("format_version")
-        if version not in (1, _FORMAT_VERSION):
+        if version == 1:
+            raise DataError(
+                f"{path}: format version 1 archives are no longer read; "
+                "load it with repro 1.0 and save it again (that writes "
+                "version 2), or refit the detector")
+        if version != _FORMAT_VERSION:
             raise DataError(
                 f"{path}: unsupported format version {version}"
             )
@@ -144,16 +144,15 @@ def load_detector(path: str | Path) -> ErrorDetector:
         }
 
     config = ModelConfig(**meta["model_config"])
-    training_config = None
-    if meta.get("training_config") is not None:
-        tc = dict(meta["training_config"])
-        if tc.get("bucket_edges") is not None:
-            tc["bucket_edges"] = tuple(tc["bucket_edges"])
-        training_config = TrainingConfig(**tc)
-    detector = ErrorDetector(architecture=meta["architecture"],
-                             model_config=config,
-                             training_config=training_config,
-                             seed=meta["seed"])
+    tc = dict(meta["training_config"])
+    if tc.get("bucket_edges") is not None:
+        tc["bucket_edges"] = tuple(tc["bucket_edges"])
+    kwargs = {}
+    if "n_label_tuples" in meta:
+        kwargs["n_label_tuples"] = meta["n_label_tuples"]
+    detector = detector_class(meta["architecture"])(
+        model_config=config, training_config=TrainingConfig(**tc),
+        seed=meta["seed"], **kwargs)
 
     char_index = CharDictionary([meta["characters"]])
     attribute_index = AttributeDictionary(meta["attributes"])
@@ -180,7 +179,7 @@ def load_detector(path: str | Path) -> ErrorDetector:
     detector.prepared = prepared
     from repro.nn import Trainer
     from repro.models.detector import _loss
-    optimizer = _rebuild_optimizer(model, meta.get("optimizer"), opt_arrays)
+    optimizer = _rebuild_optimizer(model, meta["optimizer"], opt_arrays)
     detector.trainer = Trainer(model=model,
                                optimizer=optimizer,
                                loss_fn=_loss,
@@ -190,7 +189,7 @@ def load_detector(path: str | Path) -> ErrorDetector:
 
 #: Optimizer classes a detector archive may reference.
 def _optimizer_class(name: str):
-    from repro.nn import SGD, Adam, RMSprop
+    from repro.nn import SGD, Adam
     classes = {"SGD": SGD, "RMSprop": RMSprop, "Adam": Adam}
     if name not in classes:
         raise DataError(
@@ -200,17 +199,9 @@ def _optimizer_class(name: str):
     return classes[name]
 
 
-def _rebuild_optimizer(model: Module, opt_meta: dict | None,
+def _rebuild_optimizer(model: Module, opt_meta: dict,
                        opt_arrays: dict[str, np.ndarray]) -> Optimizer:
-    """Reconstruct the archived optimizer (v2) or a fresh RMSprop (v1).
-
-    Version-1 archives carry no optimizer section: the paper's default
-    RMSprop starts with zeroed moving averages, exactly the old
-    behaviour, so old files keep loading unchanged.
-    """
-    from repro.nn import RMSprop
-    if opt_meta is None:
-        return RMSprop(model.parameters())
+    """Reconstruct the archived optimizer with its update state."""
     optimizer = _optimizer_class(opt_meta["type"])(model.parameters())
     slots = {
         slot: [opt_arrays[f"opt:{slot}:{i:04d}"] for i in range(count)]
@@ -230,8 +221,11 @@ def encode_values_for(detector: ErrorDetector, values: list[str],
     """Encode raw (value, attribute) pairs with a loaded detector's
     dictionaries, producing a feature dict for ``detector.predict``.
 
-    Unknown characters are skipped (the detector never saw them, so
-    they carry no signal); overlong values are truncated.
+    Each value is normalised as training normalised it (leading
+    whitespace stripped, ``None`` read as empty), so a served cell
+    encodes exactly like the same cell at fit time.  Unknown characters
+    are skipped (the detector never saw them, so they carry no signal);
+    overlong values are truncated.
     """
     if detector.prepared is None:
         raise NotFittedError("detector carries no dictionaries")
@@ -245,6 +239,7 @@ def encode_values_for(detector: ErrorDetector, values: list[str],
     attr_idx = np.zeros(n, dtype=np.int64)
     length_norm = np.zeros((n, 1))
     for i, (value, attribute) in enumerate(zip(values, attributes)):
+        value = _normalise_cell(value)
         clipped = value[:prepared.max_length]
         encoded[i] = prepared.char_index.encode(
             clipped, prepared.max_length, unknown="skip")
@@ -365,7 +360,7 @@ def save_training_checkpoint(path: str | Path, model: Module,
         },
         "callbacks": callback_meta,
     }
-    _atomic_savez(Path(path), {"meta": np.asarray(json.dumps(meta)), **arrays})
+    atomic_savez(Path(path), {"meta": np.asarray(json.dumps(meta)), **arrays})
 
 
 def load_training_checkpoint(path: str | Path) -> TrainingCheckpoint:

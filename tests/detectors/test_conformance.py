@@ -9,7 +9,7 @@ same :class:`~repro.detectors.base.Detector` contract, parametrized over
 * subset/permutation invariance for pointwise detectors (a cell's score
   may not depend on which other rows share the batch);
 * archive round-trip: identical scores and fingerprint after
-  ``save``/``load``;
+  ``save``/``load``, also for a path without the ``.npz`` suffix;
 * the ``type(d)(**d.config())`` rebuild identity and JSON-serialisable
   configs;
 * ``NotFittedError`` before ``fit``.
@@ -93,6 +93,17 @@ class TestConformance:
     def test_archive_round_trip(self, name, backend, pair, fitted, tmp_path):
         detector, scores = fitted(name, backend)
         path = tmp_path / f"{name}.npz"
+        detector.save(path)
+        with use_backend(backend):
+            loaded = type(detector).load(path)
+            again = loaded.score_cells(pair.dirty)
+        np.testing.assert_array_equal(scores, again)
+        assert loaded.fingerprint() == detector.fingerprint()
+
+    def test_archive_round_trip_bare_path(self, name, backend, pair, fitted,
+                                          tmp_path):
+        detector, scores = fitted(name, backend)
+        path = tmp_path / name  # no suffix: save and load must agree
         detector.save(path)
         with use_backend(backend):
             loaded = type(detector).load(path)

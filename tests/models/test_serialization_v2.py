@@ -1,10 +1,10 @@
-"""Detector archive format v2: optimizer state and backward compat.
+"""Detector archive format v2: optimizer state and version checks.
 
 Version 2 archives carry the optimizer's full update state (RMSprop mean
 squares, learning rate, hyperparameters) and the training configuration,
 so a loaded detector genuinely resumes training where it stopped.
-Version-1 archives (no optimizer section) must keep loading with a fresh
-paper-default RMSprop.
+Version-1 archives (no optimizer section) are rejected with a hint on
+how to convert them.
 """
 
 import json
@@ -109,25 +109,14 @@ class TestBackwardCompatV1:
         np.savez(dest.with_suffix(""),
                  meta=np.asarray(json.dumps(meta)), **arrays)
 
-    def test_v1_archive_loads_with_fresh_rmsprop(self, fitted, tmp_path):
+    def test_v1_archive_rejected_with_conversion_hint(self, fitted,
+                                                      tmp_path):
         v2 = tmp_path / "v2.npz"
         save_detector(fitted, v2)
         v1 = tmp_path / "v1.npz"
         self._downgrade(v2, v1)
-        loaded = load_detector(v1)
-        optimizer = loaded.trainer.optimizer
-        assert isinstance(optimizer, RMSprop)
-        for mean_square in optimizer._mean_square:
-            assert not mean_square.any()  # zeroed, as v1 always behaved
-
-    def test_v1_predictions_unchanged(self, fitted, tmp_path):
-        v2 = tmp_path / "v2.npz"
-        save_detector(fitted, v2)
-        v1 = tmp_path / "v1.npz"
-        self._downgrade(v2, v1)
-        features = fitted.split.test.features
-        np.testing.assert_array_equal(load_detector(v1).predict(features),
-                                      load_detector(v2).predict(features))
+        with pytest.raises(DataError, match="version 1.*save it again"):
+            load_detector(v1)
 
     def test_unknown_version_rejected(self, fitted, tmp_path):
         path = tmp_path / "model.npz"

@@ -246,10 +246,10 @@ class TestServeCommand:
         dirty, _ = csv_pair
         from repro.models.serialization import load_detector
         detector = load_detector(model_path)
-        from repro.cli import _score_csv
-        first = _score_csv(detector, read_csv(dirty))
+        from repro.cli import _flagged_cells
+        first = _flagged_cells(detector, read_csv(dirty))
         stats_first = detector.inference_stats
-        second = _score_csv(detector, read_csv(dirty))
+        second = _flagged_cells(detector, read_csv(dirty))
         stats_second = detector.inference_stats
         assert stats_first.cache_misses == stats_first.n_unique
         assert stats_second.cache_hits == stats_second.n_unique
