@@ -288,11 +288,11 @@ def _flagged_cells(detector: ErrorDetector, dirty: Table) -> Table | None:
               file=sys.stderr)
     if not columns:
         return None
-    flags = probabilities.argmax(axis=1) == 1
+    flags = probabilities.argmax(axis=2) == 1
     flagged = [(i, name, "" if value is None else str(value))
                for j, name in enumerate(columns)
                for i, value in enumerate(dirty.column(name).values)
-               if flags[j * dirty.n_rows + i]]
+               if flags[j, i]]
     return Table({
         "row": [r for r, _, __ in flagged],
         "attribute": [a for _, a, __ in flagged],

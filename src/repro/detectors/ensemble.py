@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +132,7 @@ class EnsembleDetector(Detector):
         tasks = [(spec, fit_rows) for spec in self._specs for fit_rows in folds]
         if self.n_workers > 1:
             import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             context = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(
                     max_workers=min(self.n_workers, len(tasks)),

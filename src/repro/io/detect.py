@@ -124,7 +124,7 @@ def _score_with_model(item: IngestedTable,
     for j, attribute in enumerate(columns):
         for i, raw in enumerate(table.column(attribute).values):
             value = "" if raw is None else str(raw)
-            proba = probabilities[j * table.n_rows + i]
+            proba = probabilities[j, i]
             scores.append(CellScore(
                 table=item.name, row=i, attribute=attribute, value=value,
                 score=float(proba[1]), flagged=bool(proba[1] >= proba[0]),

@@ -162,6 +162,11 @@ class ErrorDetector(Detector):
         ``"float64"`` (default, the reference) or ``"float32"`` -- the
         reduced-precision fast inference mode (tolerance-gated, requires
         ``deduplicate``).
+
+    The registered subclasses take only the registry arguments
+    (``n_label_tuples``, ``model_config``, ``training_config``,
+    ``seed``): :meth:`config` carries nothing else, so any other
+    argument away from its default raises :class:`ConfigurationError`.
     """
 
     architecture = "etsb"
@@ -184,6 +189,16 @@ class ErrorDetector(Detector):
             raise ConfigurationError(
                 f"architecture must be one of {allowed}, got {architecture!r}"
             )
+        local = {"sampler": sampler is not None,
+                 "extra_callbacks": bool(extra_callbacks),
+                 "deduplicate": not deduplicate,
+                 "prediction_cache_size": prediction_cache_size != 65536,
+                 "inference_precision": inference_precision != "float64"}
+        if self.name and any(local.values()):
+            raise ConfigurationError(
+                f"{self.name} takes only n_label_tuples, model_config, "
+                "training_config and seed; got "
+                f"{[name for name, given in local.items() if given]}")
         if inference_precision not in PRECISION_MODES:
             raise ConfigurationError(
                 f"inference_precision must be one of {PRECISION_MODES}, "
@@ -200,6 +215,8 @@ class ErrorDetector(Detector):
             model_config = ModelConfig(**model_config)
         if isinstance(training_config, dict):
             training_config = TrainingConfig(**training_config)
+        # config() reports the configs as given: None stays None.
+        self._default_configs = (model_config is None, training_config is None)
         self.architecture = architecture
         self.sampler = sampler if sampler is not None else DiverSet()
         self.n_label_tuples = n_label_tuples
@@ -425,10 +442,10 @@ class ErrorDetector(Detector):
 
         Returns ``(columns, probabilities)``: the columns of ``table``
         the detector was fitted on, in table order, and their cells'
-        ``[clean, error]`` probabilities, ``(len(columns) * n_rows, 2)``,
-        flattened column-major (every row of ``columns[0]`` first).
-        Other columns are skipped.  Prediction runs through the dedup
-        engine and the cross-call cache, without ``lengths``.
+        ``[clean, error]`` probabilities, ``(len(columns), n_rows, 2)``.
+        Other columns are skipped.  Cells are encoded column-major and
+        predicted through the dedup engine and the cross-call cache,
+        without ``lengths``.
         """
         from repro.models import serialization
 
@@ -437,7 +454,7 @@ class ErrorDetector(Detector):
         known = set(self.prepared.attributes)
         columns = [name for name in table.column_names if name in known]
         if not columns:
-            return columns, np.zeros((0, 2))
+            return columns, np.zeros((0, table.n_rows, 2))
         values: list = []
         attributes: list[str] = []
         for name in columns:
@@ -447,7 +464,7 @@ class ErrorDetector(Detector):
         probabilities = self.trainer.predict_proba(
             features, deduplicate=self.deduplicate,
             precision=self.inference_precision)
-        return columns, probabilities
+        return columns, probabilities.reshape(len(columns), table.n_rows, 2)
 
     def predict_table(self) -> list[tuple[int, str]]:
         """Predicted-erroneous cells over the *whole* table (train + test)."""
@@ -474,17 +491,16 @@ class ErrorDetector(Detector):
         if fitted is not None and tuple(table.column_names) != fitted:
             raise DataError(f"{self.name} was fitted on columns {fitted}, "
                             f"got {tuple(table.column_names)}")
-        columns, probabilities = self.score_table(table)
-        return np.ascontiguousarray(
-            probabilities[:, 1].reshape(len(columns), table.n_rows).T)
+        _, probabilities = self.score_table(table)
+        return probabilities[:, :, 1].T
 
     def config(self) -> dict:
-        """Registry kwargs; a config equal to its defaults reads ``None``."""
+        """Registry kwargs; a config not given at construction reads ``None``."""
+        default_model, default_training = self._default_configs
         return {
             "n_label_tuples": self.n_label_tuples,
-            "model_config": (None if self.model_config == ModelConfig()
-                             else asdict(self.model_config)),
-            "training_config": (None if self.training_config == TrainingConfig()
+            "model_config": None if default_model else asdict(self.model_config),
+            "training_config": (None if default_training
                                 else asdict(self.training_config)),
             "seed": self.seed,
         }
@@ -545,11 +561,3 @@ class AttnDetector(ErrorDetector):
     name = "attn"
     architecture = "attn"
 
-
-def detector_class(architecture: str) -> type[ErrorDetector]:
-    """The registered detector class of one architecture."""
-    for cls in (TSBDetector, ETSBDetector, AttnDetector):
-        if cls.architecture == architecture:
-            return cls
-    raise ConfigurationError(
-        f"architecture must be one of {ARCHITECTURES}, got {architecture!r}")

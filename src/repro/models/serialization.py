@@ -36,11 +36,8 @@ from repro.dataprep.pipeline import _normalise_cell
 from repro.detectors.base import atomic_savez, npz_path
 from repro.errors import ConfigurationError, DataError, NotFittedError
 from repro.models.config import ModelConfig, TrainingConfig
-from repro.models.detector import (
-    ErrorDetector,
-    build_model,
-    detector_class,
-)
+from repro.detectors import registry
+from repro.models.detector import ErrorDetector, build_model
 from repro.nn.callbacks import Callback
 from repro.nn.module import Module
 from repro.nn.optim import Optimizer, RMSprop
@@ -83,7 +80,7 @@ def save_detector(detector: ErrorDetector, path: str | Path) -> None:
     meta = {
         "format_version": _FORMAT_VERSION,
         "architecture": detector.architecture,
-        "n_label_tuples": detector.n_label_tuples,
+        "config": detector.config(),
         "model_config": asdict(detector.model_config),
         "training_config": asdict(detector.training_config),
         "characters": _dictionary_chars(prepared.char_index),
@@ -113,11 +110,13 @@ def load_detector(path: str | Path) -> ErrorDetector:
     """Reconstruct a detector saved with :func:`save_detector`.
 
     Returns the registered detector class of the archived architecture
-    (``tsb``/``etsb``/``attn``).  The detector can
-    :meth:`~repro.models.detector.ErrorDetector.predict`, score tables
-    and encode new values; it carries no training split (``evaluate`` is
-    unavailable -- re-fit for that).  An archive without
-    ``n_label_tuples`` gets the constructor default.
+    (``tsb``/``etsb``/``attn``), built from the archived
+    :meth:`~repro.models.detector.ErrorDetector.config`.  The detector
+    can :meth:`~repro.models.detector.ErrorDetector.predict`, score
+    tables and encode new values; it carries no training split
+    (``evaluate`` is unavailable -- re-fit for that).  An archive
+    without ``config`` gets the archived model and training configs
+    and the constructor default ``n_label_tuples``.
     """
     path = npz_path(path)
     with np.load(path, allow_pickle=False) as archive:
@@ -125,11 +124,14 @@ def load_detector(path: str | Path) -> ErrorDetector:
             raise DataError(f"{path}: not a repro detector archive")
         meta = json.loads(str(archive["meta"]))
         version = meta.get("format_version")
-        if version == 1:
+        if version == 1 or (version == _FORMAT_VERSION
+                            and "optimizer" not in meta):
             raise DataError(
-                f"{path}: format version 1 archives are no longer read; "
-                "load it with repro 1.0 and save it again (that writes "
-                "version 2), or refit the detector")
+                f"{path}: archives without optimizer state (format "
+                "version 1, or version 2 saved from a detector without a "
+                "trainer) are no longer read; load it with repro 1.0 and "
+                "save it again (that writes the optimizer state), or refit "
+                "the detector")
         if version != _FORMAT_VERSION:
             raise DataError(
                 f"{path}: unsupported format version {version}"
@@ -143,16 +145,22 @@ def load_detector(path: str | Path) -> ErrorDetector:
             for name in archive.files if name.startswith("opt:")
         }
 
-    config = ModelConfig(**meta["model_config"])
-    tc = dict(meta["training_config"])
-    if tc.get("bucket_edges") is not None:
-        tc["bucket_edges"] = tuple(tc["bucket_edges"])
-    kwargs = {}
-    if "n_label_tuples" in meta:
-        kwargs["n_label_tuples"] = meta["n_label_tuples"]
-    detector = detector_class(meta["architecture"])(
-        model_config=config, training_config=TrainingConfig(**tc),
-        seed=meta["seed"], **kwargs)
+    try:
+        cls = registry.get(meta["architecture"])
+    except ConfigurationError:
+        cls = None
+    if cls is None or not issubclass(cls, ErrorDetector):
+        raise DataError(
+            f"{path}: unknown architecture {meta['architecture']!r}")
+    config = dict(meta.get("config") or {
+        "model_config": meta["model_config"],
+        "training_config": meta["training_config"],
+        "seed": meta["seed"]})
+    tc = config["training_config"]
+    if tc is not None and tc.get("bucket_edges") is not None:
+        config["training_config"] = {**tc,
+                                     "bucket_edges": tuple(tc["bucket_edges"])}
+    detector = cls(**config)
 
     char_index = CharDictionary([meta["characters"]])
     attribute_index = AttributeDictionary(meta["attributes"])
@@ -169,7 +177,8 @@ def load_detector(path: str | Path) -> ErrorDetector:
         max_length=int(meta["max_length"]),
     )
     rng = np.random.default_rng(meta["seed"])
-    model = build_model(meta["architecture"], prepared, config, rng)
+    model = build_model(meta["architecture"], prepared,
+                        detector.model_config, rng)
     # load_state_dict bumps the model's weights version, so a prediction
     # cache can never serve entries computed under the fresh-init weights.
     model.load_state_dict(state)

@@ -51,14 +51,20 @@ class _Handler(socketserver.StreamRequestHandler):
             if not line.strip():
                 continue
             reply = daemon.handle_line(line)
-            # "_close" is internal framing (reply, then drop the
-            # connection); it must never reach the wire.
+            # "_close" (reply, then drop the connection) and "_stop"
+            # (reply, then stop the daemon) are internal framing; they
+            # must never reach the wire.
             close = bool(reply.pop("_close", False))
+            stop = bool(reply.pop("_stop", False))
             try:
                 self.wfile.write(protocol.encode(reply))
                 self.wfile.flush()
             except (BrokenPipeError, ConnectionResetError):
-                return
+                close = True
+            if stop:
+                # Only now: once the accept loop ends the CLI process
+                # exits, and with it this thread and an unsent reply.
+                self.server.shutdown()
             if close:
                 return
 
@@ -381,8 +387,5 @@ class ServingDaemon:
         )
 
     def _op_shutdown(self, request: dict) -> dict:
-        # Reply first, then stop the accept loop from a helper thread
-        # (shutdown() blocks until serve_forever returns, and this
-        # handler runs inside it).
-        threading.Thread(target=self._server.shutdown, daemon=True).start()
-        return {**protocol.ok(stopping=True), "_close": True}
+        # The handler stops the accept loop after writing this reply.
+        return {**protocol.ok(stopping=True), "_close": True, "_stop": True}

@@ -30,13 +30,18 @@ NEURAL = ("tsb", "etsb", "attn")
 #: Registry fingerprints of unfitted detectors, as computed before the
 #: neural families became ``ErrorDetector`` subclasses.  Fingerprints
 #: order ensemble members, so they must not move.
+#: "explicit_defaults" passes configs equal to the defaults, as a
+#: full-scale comparison run does (``training_config={"epochs": 120}``).
 PINNED_FINGERPRINTS = {
     "tsb": {"default": "00e6f02c317ec5db", "example": "4ea41a988e9a14f5",
-            "custom": "7a7374a9c8b21a6c"},
+            "custom": "7a7374a9c8b21a6c",
+            "explicit_defaults": "2f19292aa8d43884"},
     "etsb": {"default": "0b9f2c9dcec0590c", "example": "b4ac94170c8cd26c",
-             "custom": "7c76ce210213ea5c"},
+             "custom": "7c76ce210213ea5c",
+             "explicit_defaults": "bf04a609eb070bd4"},
     "attn": {"default": "64cc3e7affdc1cec", "example": "924bdb01e90603ee",
-             "custom": "850dfaf53d4b7867"},
+             "custom": "850dfaf53d4b7867",
+             "explicit_defaults": "ac308b5f8b0b1ae7"},
 }
 
 
@@ -68,17 +73,33 @@ def test_fingerprints_unchanged(name):
                    training_config={"epochs": 5, "learning_rate": 0.01},
                    seed=7)
     assert custom.fingerprint() == pinned["custom"]
+    explicit = build(name, training_config={"epochs": 120})
+    assert explicit.fingerprint() == pinned["explicit_defaults"]
 
 
-def test_default_configs_read_none():
+def test_config_reports_configs_as_given():
+    assert build("etsb").config()["training_config"] is None
     config = build("etsb", model_config={}, training_config={}).config()
-    assert config["model_config"] is None
-    assert config["training_config"] is None
+    assert config["model_config"]["value_units"] == 64
+    assert config["training_config"]["epochs"] == 120
 
 
 def test_registered_class_fixes_architecture():
     with pytest.raises(ConfigurationError, match="architecture"):
         build("tsb", architecture="etsb")
+
+
+@pytest.mark.parametrize("option", [
+    {"inference_precision": "float32"},
+    {"deduplicate": False},
+    {"prediction_cache_size": 16},
+    {"extra_callbacks": [object()]},
+    {"sampler": _Preset([0])},
+])
+def test_registered_class_takes_only_registry_arguments(option):
+    """config() carries none of these, so the registry refuses them."""
+    with pytest.raises(ConfigurationError, match="takes only"):
+        build("etsb", **option)
 
 
 def test_pinned_rows_train_like_a_preset_sampler(pair):
@@ -145,8 +166,8 @@ def test_padded_value_scores_like_its_stripped_form(pair, fitted, tmp_path):
     np.testing.assert_array_equal(scores[0], scores[1])
 
     # `repro predict` / `repro serve`: the shared table scorer
-    columns, probabilities = loaded.score_table(table)
-    grid = probabilities[:, 1].reshape(len(columns), table.n_rows)
+    _, probabilities = loaded.score_table(table)
+    grid = probabilities[:, :, 1]
     np.testing.assert_array_equal(grid[:, 0], grid[:, 1])
     np.testing.assert_array_equal(grid.T, scores)
 

@@ -97,14 +97,17 @@ class TestFormatV2:
 
 
 class TestBackwardCompatV1:
-    def _downgrade(self, src, dest):
-        """Rewrite a v2 archive as the v1 format (no optimizer section)."""
+    def _downgrade(self, src, dest, version=1):
+        """Rewrite a v2 archive without its optimizer section: the v1
+        format, or (``version=2``) what 1.0 saved for a detector built
+        without a trainer."""
         with np.load(src, allow_pickle=False) as archive:
             meta = json.loads(str(archive["meta"]))
             arrays = {name: archive[name] for name in archive.files
                       if name.startswith("state:")}
-        meta["format_version"] = 1
+        meta["format_version"] = version
         meta.pop("optimizer", None)
+        meta.pop("config", None)
         meta.pop("training_config", None)
         np.savez(dest.with_suffix(""),
                  meta=np.asarray(json.dumps(meta)), **arrays)
@@ -117,6 +120,15 @@ class TestBackwardCompatV1:
         self._downgrade(v2, v1)
         with pytest.raises(DataError, match="version 1.*save it again"):
             load_detector(v1)
+
+    def test_v2_archive_without_optimizer_rejected_with_conversion_hint(
+            self, fitted, tmp_path):
+        full = tmp_path / "full.npz"
+        save_detector(fitted, full)
+        bare = tmp_path / "bare.npz"
+        self._downgrade(full, bare, version=2)
+        with pytest.raises(DataError, match="without a trainer.*save it again"):
+            load_detector(bare)
 
     def test_unknown_version_rejected(self, fitted, tmp_path):
         path = tmp_path / "model.npz"

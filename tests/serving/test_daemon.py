@@ -183,3 +183,25 @@ class TestShutdown:
         daemon.shutdown()
         with pytest.raises(OSError):
             ServingClient(daemon.host, daemon.port).connect()
+
+    def test_accept_loop_stops_after_the_reply_is_written(self, detector,
+                                                          monkeypatch):
+        """The CLI process exits as soon as the accept loop ends, so
+        stopping it before the reply is on the wire loses the reply."""
+        events = []
+        encode = protocol.encode
+
+        def encode_and_record(message):
+            if "ok" in message:  # a reply, not the client's request
+                events.append("reply")
+            return encode(message)
+
+        monkeypatch.setattr(protocol, "encode", encode_and_record)
+        daemon = ServingDaemon(detector=detector).start()
+        stop = daemon._server.shutdown
+        monkeypatch.setattr(daemon._server, "shutdown",
+                            lambda: events.append("stop") or stop())
+        with ServingClient(daemon.host, daemon.port) as client:
+            assert client.request({"op": "shutdown"})["stopping"] is True
+        daemon.shutdown()
+        assert events[:2] == ["reply", "stop"]
