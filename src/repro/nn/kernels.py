@@ -37,11 +37,17 @@ differ from the many-row path by an ulp, so a step with a single live row
 still runs its GEMM over :data:`MIN_GEMM_ROWS` rows, borrowing a dead
 neighbour whose result is dropped (the rule the inference engine's
 single-row padding relies on too).  Because a GEMM's rows do not depend
-on each other, packed states are bit-for-bit those of a dense loop.  The batch-level GEMMs of the backward (``dw_h``, ``dw_x``,
-``dx``, ``db``) sum over all cells, so they keep running on the batch's
-own row order with zero gradients on padding: gradients are identical to
-the unpacked kernels' and agree with the graph backend to
-float-accumulation order.
+on each other, packed states are bit-for-bit those of a dense loop.
+
+The backward's tail (:func:`_level_grads`) runs on the same per-cell
+tables as its time loop.  Packed, ``dw_h``, ``dw_x`` and ``db`` sum over
+the live cells only, and ``dx`` is one GEMM over them scattered into a
+zeroed batch-order array; in place, the tables are zero-padded
+``(batch, width, dim)`` arrays and the sums also run over their padding.
+Either way gradients agree with the graph backend to float-accumulation
+order (``rtol=1e-9``).  A packed sum skips the padding's zero terms and
+so accumulates in a different order than a batch-order sum: weight and
+bias gradient bits depend on the layout, forward bits never do.
 
 Kernels
 -------
@@ -279,23 +285,45 @@ class _Packing:
         """The live cells of a batch-order ``(batch, time, dim)`` array."""
         return sequence if self.in_place else sequence[self.cells]
 
-    def to_batch(self, table: np.ndarray, key: str) -> np.ndarray:
-        """A gradient table in batch order ``(batch, width, dim)``, zero
-        on padding (scratch when packed)."""
+    def shifted(self, table: np.ndarray, reverse: bool,
+                key: str) -> np.ndarray:
+        """Each cell's state one *iteration* earlier (scratch table).
+
+        A row's first step in iteration order gets the zero initial
+        state.  In place, padding cells may hold any value: their
+        ``dproj`` rows are zero, so they never reach a weight gradient.
+        Packed, the previous iteration's cells are a prefix of the
+        previous step's slice (forward, where rows only leave) or all of
+        it (reversed, where rows only enter), so each step is one copy
+        plus zeros for the rows entering at it.
+        """
         if self.in_place:
-            return table
-        out = _scratch.rows(key, self.batch * self.width, table.shape[-1])
-        out = out.reshape(self.batch, self.width, table.shape[-1])
-        out.fill(0.0)
-        out[self.cells] = table
-        return out
+            prev = _scratch.get(key, table.shape)
+            if reverse:
+                prev[:, -1] = 0.0
+                prev[:, :-1] = table[:, 1:]
+            else:
+                prev[:, 0] = 0.0
+                prev[:, 1:] = table[:, :-1]
+            return prev
+        prev = _scratch.rows(key, self.n_cells, table.shape[-1])
+        before = slice(0, 0)
+        for _, cells, _, _, _, _ in self.steps(reverse):
+            n = min(before.stop - before.start, cells.stop - cells.start)
+            prev[cells.start:cells.start + n] = table[before.start:
+                                                      before.start + n]
+            prev[cells.start + n:cells.stop] = 0.0
+            before = cells
+        return prev
 
     def projection(self, x: np.ndarray, w_x: np.ndarray, b_h: np.ndarray,
-                   key: str) -> np.ndarray:
-        """``x @ w_x + b`` for every live cell (scratch table).
+                   key: str) -> tuple[np.ndarray, np.ndarray]:
+        """The input cells and ``x @ w_x + b`` for each (scratch table).
 
-        A GEMM's rows do not depend on each other, so packed cells get
-        the bits the batch-order projection would give them.
+        The input cells are the live window of ``x`` in place and the
+        gathered live cells when packed; the backward's ``dw_x`` reads
+        them.  A GEMM's rows do not depend on each other, so packed cells
+        get the bits the batch-order projection would give them.
         """
         if self.in_place:
             x = self.trim(x)
@@ -311,14 +339,15 @@ class _Packing:
             else:
                 np.matmul(x, w_x, out=proj)
         else:
-            x_cells = x[self.cells]
+            x = x[self.cells]
+            x_gemm = x
             if self.n_cells < MIN_GEMM_ROWS:
-                x_cells = np.concatenate([x_cells] * MIN_GEMM_ROWS)
-            proj = _scratch.rows(key, x_cells.shape[0], w_x.shape[-1])
-            np.matmul(x_cells, w_x, out=proj)
+                x_gemm = np.concatenate([x] * MIN_GEMM_ROWS)
+            proj = _scratch.rows(key, x_gemm.shape[0], w_x.shape[-1])
+            np.matmul(x_gemm, w_x, out=proj)
             proj = proj[:self.n_cells]
         proj += b_h
-        return proj
+        return x, proj
 
     def unpack(self, out: np.ndarray, states: np.ndarray, h: np.ndarray,
                reverse: bool) -> None:
@@ -418,23 +447,6 @@ class _ScratchPool(threading.local):
 _scratch = _ScratchPool()
 
 
-def _shift_prev(sequence: np.ndarray, reverse: bool, key: str) -> np.ndarray:
-    """``prev[:, t]`` = the state one *iteration* before step ``t``.
-
-    The earliest step in iteration order gets the all-zeros initial state.
-    Padding cells may hold any value: their ``dproj`` rows are zero, so
-    they never contribute to the weight gradient.
-    """
-    prev = _scratch.get(key, sequence.shape)
-    if reverse:
-        prev[:, -1] = 0.0
-        prev[:, :-1] = sequence[:, 1:]
-    else:
-        prev[:, 0] = 0.0
-        prev[:, 1:] = sequence[:, :-1]
-    return prev
-
-
 def _live_matmul(a: np.ndarray, w: np.ndarray, out: np.ndarray,
                  live: slice, gemm: slice, spare: np.ndarray) -> None:
     """``out[live] = a[live] @ w``, with the GEMM run over the ``gemm`` rows.
@@ -449,43 +461,47 @@ def _live_matmul(a: np.ndarray, w: np.ndarray, out: np.ndarray,
         out[live] = spare[live]
 
 
-def _recurrent_weight_grad(prev: np.ndarray, dproj: np.ndarray) -> np.ndarray:
-    """``sum_t prev_t^T dproj_t`` as one GEMM instead of a matmul per step.
-
-    The result lives in scratch: ``accumulate_grad`` copies (or adds) it
-    into the parameter's grad buffer before the pool is touched again.
-    """
-    units, width = prev.shape[-1], dproj.shape[-1]
-    return np.matmul(prev.reshape(-1, units).T, dproj.reshape(-1, width),
-                     out=_scratch.get("level.dw_h", (units, width)))
-
-
-def _input_grads(dproj: np.ndarray, x: np.ndarray, w_x: np.ndarray,
-                 ctx: FunctionCtx, full_shape: tuple[int, ...]
+def _level_grads(ctx: FunctionCtx, dproj: np.ndarray,
+                 prev: np.ndarray | None, drec: np.ndarray | None
                  ) -> tuple[np.ndarray | None, ...]:
-    """Shared tail of every level backward: grads through ``x @ w_x + b``.
+    """Shared tail of every level backward: ``dx, dw_x, dw_h, db``.
 
-    ``x`` is the (possibly width-trimmed) live window of the input;
-    ``dx`` is expanded back to ``full_shape`` with a zero tail -- trimmed
-    steps are padding for every row, so their input gradient is exactly
-    zero.  Like :func:`_recurrent_weight_grad`, the returned arrays are
-    scratch: they are consumed synchronously by gradient accumulation.
+    ``dproj`` is the per-cell gradient of the input projection
+    ``x @ w_x + b``; ``drec`` that of the recurrent product
+    ``prev @ w_h`` (``dproj`` itself except in the GRU), with ``prev`` the
+    state table one iteration earlier (needed only for ``dw_h``).  Each
+    table holds the live cells when packed, so the weight GEMMs and the
+    bias sum run over ``n_cells`` rows, and ``dx`` is one GEMM scattered
+    into a zeroed batch-order array.  In place they are the zero-padded
+    ``(batch, width, dim)`` tables and ``dx`` gets a zero tail past the
+    width.  The returned arrays are scratch: gradient accumulation
+    consumes them before the pool is touched again.
     """
-    in_dim, proj_width = x.shape[-1], dproj.shape[-1]
+    packing, x, w_x = ctx.packing, ctx.x, ctx.w_x
+    in_dim, proj_width = w_x.shape
+    flat = dproj.reshape(-1, proj_width)
+    dx = dw_x = dw_h = db = None
     if ctx.needs_input_grad[0]:
-        dx = _scratch.get("level.dx", full_shape)
-        np.matmul(dproj, w_x.T, out=dx[:, :x.shape[1]])
-        if x.shape[1] < full_shape[1]:
-            dx[:, x.shape[1]:] = 0.0
-    else:
-        dx = None
+        dx = _scratch.get("level.dx", ctx.x_shape)
+        if packing.in_place:
+            np.matmul(dproj, w_x.T, out=dx[:, :packing.width])
+            dx[:, packing.width:] = 0.0
+        else:
+            dx.fill(0.0)
+            dx[packing.cells] = np.matmul(
+                dproj, w_x.T,
+                out=_scratch.rows("level.dx_cells", packing.n_cells, in_dim))
     if ctx.needs_input_grad[1]:
-        dw_x = np.matmul(x.reshape(-1, in_dim).T, dproj.reshape(-1, proj_width),
-                         out=_scratch.get("level.dw_x", (in_dim, proj_width)))
-    else:
-        dw_x = None
-    db = dproj.sum(axis=(0, 1)) if ctx.needs_input_grad[3] else None
-    return dx, dw_x, db
+        dw_x = np.matmul(x.reshape(-1, in_dim).T, flat,
+                         out=_scratch.get("level.dw_x", w_x.shape))
+    if ctx.needs_input_grad[2]:
+        units, rec_width = ctx.w_h.shape
+        dw_h = np.matmul(prev.reshape(-1, units).T,
+                         drec.reshape(-1, rec_width),
+                         out=_scratch.get("level.dw_h", ctx.w_h.shape))
+    if ctx.needs_input_grad[3]:
+        db = flat.sum(axis=0)
+    return dx, dw_x, dw_h, db
 
 
 @_instrumented
@@ -506,7 +522,7 @@ class RNNLevelFunction(Function):
         batch, n_steps, _ = x.shape
         units = w_h.shape[0]
         packing = _Packing.of(mask, batch, n_steps)
-        proj = packing.projection(x, w_x, b_h, "rnn.proj")
+        x_cells, proj = packing.projection(x, w_x, b_h, "rnn.proj")
 
         # ``h`` carries every row's state in packed row order; the step's
         # GEMM lands in ``rec`` and the activation writes the live rows'
@@ -523,18 +539,18 @@ class RNNLevelFunction(Function):
             hs[key] = np.tanh(rec[live], out=h[live])
         packing.unpack(states, hs, h, reverse)
 
-        ctx.x, ctx.x_shape, ctx.w_x, ctx.w_h = (packing.trim(x), x.shape,
-                                                w_x, w_h)
-        ctx.states, ctx.hs, ctx.packing = states, hs, packing
-        ctx.width, ctx.reverse = packing.width, reverse
+        ctx.x, ctx.x_shape, ctx.w_x, ctx.w_h = x_cells, x.shape, w_x, w_h
+        ctx.hs, ctx.packing, ctx.reverse = hs, packing, reverse
         return states
 
     @staticmethod
     def backward(ctx: FunctionCtx, grad: np.ndarray
                  ) -> tuple[np.ndarray | None, ...]:
         """The packed BPTT time loop builds the pre-activation gradient
-        ``dproj``; the weight and input gradients then come from it as
-        batch-level GEMMs in batch row order (zero on padding)."""
+        table ``dproj``; the weight and input gradients then come from it
+        as GEMMs over the same per-cell tables (:func:`_level_grads`):
+        the live cells only when packed, the zero-padded batch-order
+        tables in place."""
         hs, packing, w_h = ctx.hs, ctx.packing, ctx.w_h
         batch, units = packing.batch, w_h.shape[0]
 
@@ -554,16 +570,10 @@ class RNNLevelFunction(Function):
             packing.add_grads(dh, acc, grad, grad_cells, step)
             dproj[key] = np.multiply(dh[live], deriv[key], out=dpre[live])
             _live_matmul(dpre, w_h_t, dh, live, gemm, spare)
-        dproj = packing.to_batch(dproj, "level.dproj")
 
-        states_w = ctx.states[:, :ctx.width]
-        if ctx.needs_input_grad[2]:
-            dw_h = _recurrent_weight_grad(
-                _shift_prev(states_w, ctx.reverse, "rnn.prev"), dproj)
-        else:
-            dw_h = None
-        dx, dw_x, db = _input_grads(dproj, ctx.x, ctx.w_x, ctx, ctx.x_shape)
-        return dx, dw_x, dw_h, db
+        prev = (packing.shifted(hs, ctx.reverse, "rnn.prev")
+                if ctx.needs_input_grad[2] else None)
+        return _level_grads(ctx, dproj, prev, dproj)
 
 
 @_instrumented
@@ -584,13 +594,12 @@ class LSTMLevelFunction(Function):
         batch, n_steps, _ = x.shape
         units = w_h.shape[0]
         packing = _Packing.of(mask, batch, n_steps)
-        proj = packing.projection(x, w_x, b_h, "lstm.proj")
+        x_cells, proj = packing.projection(x, w_x, b_h, "lstm.proj")
 
         # Only the hidden sequence is externally visible; the backward
         # tables (see ``_Packing``) cover the live cells.
         h_seq = np.empty((batch, n_steps, units))
-        hs = (packing.trim(h_seq) if packing.in_place
-              else packing.scratch("lstm.hs", units))
+        hs = packing.trim(h_seq) if packing.in_place else packing.table(units)
         acts = packing.table(4 * units)   # i, f, g, o
         tanh_c = packing.table(units)
         c_prev = packing.table(units)
@@ -612,16 +621,15 @@ class LSTMLevelFunction(Function):
             hs[key] = np.multiply(act[:, 3 * units:], tc, out=h[live])
         packing.unpack(h_seq, hs, h, reverse)
 
-        ctx.x, ctx.x_shape, ctx.w_x, ctx.w_h = (packing.trim(x), x.shape,
-                                                w_x, w_h)
-        ctx.h_seq, ctx.acts, ctx.tanh_c, ctx.c_prev = h_seq, acts, tanh_c, c_prev
-        ctx.packing, ctx.width, ctx.reverse = packing, packing.width, reverse
+        ctx.x, ctx.x_shape, ctx.w_x, ctx.w_h = x_cells, x.shape, w_x, w_h
+        ctx.hs, ctx.acts, ctx.tanh_c, ctx.c_prev = hs, acts, tanh_c, c_prev
+        ctx.packing, ctx.reverse = packing, reverse
         return h_seq
 
     @staticmethod
     def backward(ctx: FunctionCtx, grad: np.ndarray
                  ) -> tuple[np.ndarray | None, ...]:
-        """Packed BPTT loop, then the batch-level GEMMs (see
+        """Packed BPTT loop, then the shared tail (see
         ``RNNLevelFunction.backward``)."""
         acts, tanh_c, c_prev = ctx.acts, ctx.tanh_c, ctx.c_prev
         packing, w_h = ctx.packing, ctx.w_h
@@ -666,16 +674,10 @@ class LSTMLevelFunction(Function):
             dproj[key] = dg
             _live_matmul(dgates, w_h_t, dh, live, gemm, spare)
             np.multiply(dc_raw, act[:, units:2 * units], out=dc[live])
-        dproj = packing.to_batch(dproj, "level.dproj")
 
-        h_seq_w = ctx.h_seq[:, :ctx.width]
-        if ctx.needs_input_grad[2]:
-            dw_h = _recurrent_weight_grad(
-                _shift_prev(h_seq_w, ctx.reverse, "lstm.hprev"), dproj)
-        else:
-            dw_h = None
-        dx, dw_x, db = _input_grads(dproj, ctx.x, ctx.w_x, ctx, ctx.x_shape)
-        return dx, dw_x, dw_h, db
+        prev = (packing.shifted(ctx.hs, ctx.reverse, "lstm.hprev")
+                if ctx.needs_input_grad[2] else None)
+        return _level_grads(ctx, dproj, prev, dproj)
 
 
 @_instrumented
@@ -691,9 +693,10 @@ class GRULevelFunction(Function):
         batch, n_steps, _ = x.shape
         units = w_h.shape[0]
         packing = _Packing.of(mask, batch, n_steps)
-        proj = packing.projection(x, w_x, b_h, "gru.proj")
+        x_cells, proj = packing.projection(x, w_x, b_h, "gru.proj")
 
-        # Backward tables per live cell, as in the LSTM level.
+        # Backward tables per live cell, as in the LSTM level; ``h_prev``
+        # is also the previous-state table of the backward's ``dw_h``.
         states = np.empty((batch, n_steps, units))
         hs = (packing.trim(states) if packing.in_place
               else packing.scratch("gru.hs", units))
@@ -718,17 +721,15 @@ class GRULevelFunction(Function):
             rec_n[key] = rec[:, 2 * units:]
         packing.unpack(states, hs, h, reverse)
 
-        ctx.x, ctx.x_shape, ctx.w_x, ctx.w_h = (packing.trim(x), x.shape,
-                                                w_x, w_h)
-        ctx.states, ctx.gates, ctx.rec_n, ctx.h_prev = (states, gates, rec_n,
-                                                        h_prev)
-        ctx.packing, ctx.width, ctx.reverse = packing, packing.width, reverse
+        ctx.x, ctx.x_shape, ctx.w_x, ctx.w_h = x_cells, x.shape, w_x, w_h
+        ctx.gates, ctx.rec_n, ctx.h_prev = gates, rec_n, h_prev
+        ctx.packing, ctx.reverse = packing, reverse
         return states
 
     @staticmethod
     def backward(ctx: FunctionCtx, grad: np.ndarray
                  ) -> tuple[np.ndarray | None, ...]:
-        """Packed BPTT loop, then the batch-level GEMMs (see
+        """Packed BPTT loop, then the shared tail (see
         ``RNNLevelFunction.backward``)."""
         gates, rec_n, h_prev = ctx.gates, ctx.rec_n, ctx.h_prev
         packing, w_h = ctx.packing, ctx.w_h
@@ -770,6 +771,7 @@ class GRULevelFunction(Function):
             np.matmul(drec[gemm], w_h_t, out=spare[gemm])
             np.add(dlive * z, spare[live], out=dh[live])
 
+        drec_seq = None
         if ctx.needs_input_grad[2]:
             # The candidate slice of ``drec`` differs from ``dproj`` (the
             # reset gate multiplies only the recurrent term), so rebuild it.
@@ -777,16 +779,7 @@ class GRULevelFunction(Function):
             np.copyto(drec_seq, dproj)
             np.multiply(dproj[..., 2 * units:], gates[..., units:2 * units],
                         out=drec_seq[..., 2 * units:])
-            drec_seq = packing.to_batch(drec_seq, "gru.drecseq.batch")
-            dw_h = _recurrent_weight_grad(
-                _shift_prev(ctx.states[:, :ctx.width], ctx.reverse,
-                            "gru.prev"),
-                drec_seq)
-        else:
-            dw_h = None
-        dx, dw_x, db = _input_grads(packing.to_batch(dproj, "level.dproj"),
-                                    ctx.x, ctx.w_x, ctx, ctx.x_shape)
-        return dx, dw_x, dw_h, db
+        return _level_grads(ctx, dproj, h_prev, drec_seq)
 
 
 @_instrumented

@@ -188,12 +188,34 @@ class MicroBatcher:
                lengths: np.ndarray | None = None) -> Future:
         """Enqueue one request; returns a future of :class:`BatchResult`.
 
+        Legal before :meth:`start`: the request waits in the queue until
+        the thread runs.
+
         Raises
         ------
         Overloaded
             When ``max_queue_rows`` rows are already waiting (the
             admission-control bound) or the batcher is shut down.
         """
+        return self._enqueue(tenant, features, lengths, need_thread=False)
+
+    def predict(self, tenant: str, features: Mapping[str, np.ndarray],
+                lengths: np.ndarray | None = None) -> BatchResult:
+        """Blocking convenience wrapper around :meth:`submit`.
+
+        Raises
+        ------
+        Overloaded
+            As :meth:`submit`; the admission check comes first.
+        ConfigurationError
+            When the batcher thread is not running, since nothing would
+            ever complete the request; it is not queued.
+        """
+        return self._enqueue(tenant, features, lengths,
+                             need_thread=True).result()
+
+    def _enqueue(self, tenant: str, features: Mapping[str, np.ndarray],
+                 lengths: np.ndarray | None, need_thread: bool) -> Future:
         if not features:
             raise ConfigurationError("at least one feature array is required")
         n_rows = int(next(iter(features.values())).shape[0])
@@ -212,17 +234,16 @@ class MicroBatcher:
                 raise Overloaded(
                     f"{self._queued_rows} rows queued "
                     f"(bound {self.max_queue_rows}); shedding load")
+            if need_thread and self._thread is None:
+                raise ConfigurationError(
+                    "the batcher thread is not running; call start() "
+                    "before predict()")
             self._queue.append(item)
             self._queued_rows += n_rows
             self.stats.max_queued_rows = max(self.stats.max_queued_rows,
                                              self._queued_rows)
             self._cond.notify_all()
         return item.future
-
-    def predict(self, tenant: str, features: Mapping[str, np.ndarray],
-                lengths: np.ndarray | None = None) -> BatchResult:
-        """Blocking convenience wrapper around :meth:`submit`."""
-        return self.submit(tenant, features, lengths).result()
 
     # -- the batcher thread -------------------------------------------------
 

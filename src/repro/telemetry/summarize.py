@@ -3,9 +3,11 @@
 ``repro telemetry summarize out.jsonl`` renders the output of a
 ``--telemetry-out`` session: record counts per type, per-span wall-time
 totals, the per-epoch loss trajectory, the inference counters
-(rows/unique/cache hits/misses) summed over every prediction call, and
+(rows/unique/cache hits/misses) summed over every prediction call,
 p50/p95/p99 estimates for every fixed-bucket histogram in the final
-metrics snapshot (e.g. the serving daemon's ``serve.latency``).
+metrics snapshot (e.g. the serving daemon's ``serve.latency``), and
+count, total and mean seconds for every timer in that snapshot (e.g.
+the level kernels' ``kernel.RNNLevelFunction.backward``).
 """
 
 from __future__ import annotations
@@ -101,14 +103,17 @@ def summarize_records(records: Iterable[Mapping]) -> dict:
     (count / total & mean wall seconds per span name), ``epochs``
     (count, first/last/min loss, total wall), ``inference`` (summed
     rows, unique cells, cache hits/misses, evaluated representatives and
-    the overall unique-cell ratio and hit rate), and ``histograms``
+    the overall unique-cell ratio and hit rate), ``histograms``
     (count/mean/min/max and p50/p95/p99 per fixed-bucket histogram in
-    the final metrics snapshot -- how ``serve.latency`` is read).
+    the final metrics snapshot -- how ``serve.latency`` is read) and
+    ``timers`` (count, total and mean seconds per timer in that
+    snapshot -- how the kernels' forward/backward timers are read).
     """
     record_counts: dict[str, int] = {}
     spans: dict[str, dict] = {}
     epochs: list[Mapping] = []
     histograms: dict[str, dict] = {}
+    timers: dict[str, dict] = {}
     inference = {"calls": 0, "n_rows": 0, "n_unique": 0, "cache_hits": 0,
                  "cache_misses": 0, "n_evaluated": 0}
     for record in records:
@@ -121,6 +126,14 @@ def summarize_records(records: Iterable[Mapping]) -> dict:
                 name: summarize_histogram(state)
                 for name, state in record.get("metrics", {})
                                          .get("histograms", {}).items()
+                if state.get("count")
+            }
+            timers = {
+                name: {"count": int(state["count"]),
+                       "total_s": float(state["total"]),
+                       "mean_s": float(state["total"]) / int(state["count"])}
+                for name, state in record.get("metrics", {})
+                                         .get("timers", {}).items()
                 if state.get("count")
             }
         elif record_type == "span":
@@ -157,6 +170,7 @@ def summarize_records(records: Iterable[Mapping]) -> dict:
         "epochs": epoch_summary,
         "inference": inference,
         "histograms": histograms,
+        "timers": timers,
     }
 
 
@@ -205,6 +219,13 @@ def render_summary(summary: Mapping) -> str:
                 f"{_fmt(entry['p50'], 6)} / {_fmt(entry['p95'], 6)} / "
                 f"{_fmt(entry['p99'], 6)} / {_fmt(entry['max'], 6)}"
             )
+    if summary.get("timers"):
+        lines.append("timers (count / total / mean):")
+        for name in sorted(summary["timers"]):
+            entry = summary["timers"][name]
+            lines.append(
+                f"  {name:<40} {entry['count']} / "
+                f"{entry['total_s']:.4f}s / {entry['mean_s']:.6f}s")
     return "\n".join(lines)
 
 

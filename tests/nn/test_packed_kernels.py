@@ -7,7 +7,11 @@ the per-step graph backend bit for bit and gradients agree as closely as
 they always have, on unsorted ragged batches whose live count falls to a
 single row, for every cell type and direction; concurrent calls on
 different threads do not share scratch buffers; and masks that are not
-right-padded are refused.
+right-padded are refused.  The weight and input gradients run on the
+same per-cell tables as the time loop (the live cells only when packed);
+further tests pin that tail at its edges: a batch with one live cell,
+every subset of inputs that needs a gradient, and scratch buffers full
+of NaN before the backward.
 """
 
 import threading
@@ -18,6 +22,7 @@ import pytest
 from repro.autograd import Tensor
 from repro.errors import ShapeError
 from repro.nn import StackedRNN, use_backend
+from repro.nn import kernels
 from repro.nn.kernels import gru_level, lstm_level, rnn_level
 from repro.nn.layers.embedding import Embedding
 from repro.nn.layers.rnn import CELL_TYPES
@@ -91,6 +96,88 @@ class TestFusedMatchesGraph:
         unsorted = np.stack([out.data for out in unsorted], axis=1)
         ordered = np.stack([out.data for out in ordered], axis=1)
         assert unsorted[order].tobytes() == ordered.tobytes()
+
+
+def _one_level(cell, lengths, reverse, frozen=(), poison=False):
+    """Output and gradients of one fused level call on a ragged batch.
+
+    ``frozen`` names the inputs created without ``requires_grad``;
+    ``poison`` fills every scratch buffer with NaN between the forward
+    and the backward.
+    """
+    level, mult = LEVELS[cell]
+    rng = np.random.default_rng(11)
+    mask = _mask(lengths)
+    values = {"x": rng.normal(size=mask.shape + (3,)),
+              "w_x": 0.5 * rng.normal(size=(3, 4 * mult)),
+              "w_h": 0.5 * rng.normal(size=(4, 4 * mult)),
+              "b_h": 0.1 * rng.normal(size=(4 * mult,))}
+    inputs = {name: Tensor(value.copy(), requires_grad=name not in frozen)
+              for name, value in values.items()}
+    out = level(inputs["x"], inputs["w_x"], inputs["w_h"], inputs["b_h"],
+                mask=mask, reverse=reverse)
+    weights = rng.normal(size=out.data.shape)
+    if poison:
+        for array in kernels._scratch._arrays.values():
+            array.fill(np.nan)
+    (out * weights).sum().backward()
+    return out.data.copy(), {name: None if t.grad is None else t.grad.copy()
+                             for name, t in inputs.items()}
+
+
+class TestPackedTail:
+    """``dx``, ``dw_x``, ``dw_h`` and ``db`` over the live-cell tables."""
+
+    @pytest.mark.parametrize("cell_type", CELL_TYPES)
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+    def test_single_live_cell(self, cell_type, reverse):
+        lengths = [0, 1, 0, 0]
+        packing = kernels._Packing.of(_mask(lengths), len(lengths), 10)
+        assert not packing.in_place and packing.n_cells == 1
+        x_data = np.random.default_rng(5).normal(size=(4, 10, 3))
+        fused = _run_stack("fused", cell_type, reverse, x_data,
+                           _mask(lengths))
+        graph = _run_stack("graph", cell_type, reverse, x_data,
+                           _mask(lengths))
+        np.testing.assert_array_equal(fused[1], graph[1])
+        for fused_grad, graph_grad in zip(fused[2], graph[2]):
+            np.testing.assert_allclose(fused_grad, graph_grad,
+                                       rtol=1e-9, atol=1e-12)
+        # Only the live cell's input step gets a gradient.
+        dx = fused[2][0]
+        assert np.count_nonzero(np.abs(dx).sum(axis=-1)) == 1
+        assert np.abs(dx[1, 0]).sum() > 0
+
+    @pytest.mark.parametrize("cell", sorted(LEVELS))
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+    @pytest.mark.parametrize("layout", ["unsorted", "descending",
+                                        "ascending"])
+    @pytest.mark.parametrize("frozen", [("x",), ("w_x",), ("w_h",),
+                                        ("b_h",), ("w_x", "w_h", "b_h")],
+                             ids=lambda names: "+".join(names))
+    def test_needs_input_grad_subsets(self, cell, reverse, layout, frozen):
+        # Frozen inputs get no gradient; every other gradient is the
+        # bytes of a call where every input needs one.
+        full = _one_level(cell, LENGTHS[layout], reverse)[1]
+        part = _one_level(cell, LENGTHS[layout], reverse, frozen)[1]
+        for name, grad in part.items():
+            if name in frozen:
+                assert grad is None
+            else:
+                assert grad.tobytes() == full[name].tobytes(), name
+
+    @pytest.mark.parametrize("cell", sorted(LEVELS))
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+    @pytest.mark.parametrize("layout", ["unsorted", "descending",
+                                        "ascending", "single_row"])
+    def test_stale_scratch_is_never_read(self, cell, reverse, layout):
+        clean_out, clean = _one_level(cell, LENGTHS[layout], reverse)
+        out, grads = _one_level(cell, LENGTHS[layout], reverse,
+                                poison=True)
+        assert out.tobytes() == clean_out.tobytes()
+        for name, grad in grads.items():
+            assert np.isfinite(grad).all(), name
+            assert grad.tobytes() == clean[name].tobytes(), name
 
 
 class TestScratchIsolation:

@@ -1,5 +1,7 @@
 """Micro-batcher coalescing, admission control and value preservation."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,42 @@ class TestAdmissionControl:
             assert result.batch_rows == 6
         finally:
             batcher.close()
+
+    def test_predict_without_thread_raises_instead_of_blocking(
+            self, detector, registry):
+        batcher = MicroBatcher(registry)
+        features, lengths = encode_cells(detector, ["a"])
+        outcome = []
+
+        def call():
+            try:
+                batcher.predict("default", features, lengths)
+            except ConfigurationError as exc:
+                outcome.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=10)
+        assert not caller.is_alive(), "predict blocked on a stopped batcher"
+        assert len(outcome) == 1 and "not running" in str(outcome[0])
+        # Nothing was left queued: the full bound is still free.
+        assert batcher._queued_rows == 0 and not batcher._queue
+        batcher.start()
+        try:
+            assert batcher.predict("default", features,
+                                   lengths).batch_rows == 1
+        finally:
+            batcher.close()
+
+    def test_predict_checks_admission_before_the_thread(self, detector,
+                                                        registry):
+        batcher = MicroBatcher(registry, max_queue_rows=1)
+        features, lengths = encode_cells(detector, ["a"])
+        batcher.submit("default", features, lengths)
+        with pytest.raises(Overloaded):
+            batcher.predict("default", features, lengths)
+        batcher.start()
+        batcher.close()
 
     def test_submit_after_close_is_rejected(self, detector, batcher):
         features, lengths = encode_cells(detector, ["a"])

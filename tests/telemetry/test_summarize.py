@@ -159,3 +159,42 @@ class TestSnapshotHistograms:
         assert entry["count"] == 5
         assert entry["max"] == 0.5
         assert 0.0 < entry["p50"] <= entry["p95"] <= entry["p99"] <= 0.5
+
+
+class TestSnapshotTimers:
+    def test_timers_summarized_with_count_total_and_mean(self):
+        from repro.telemetry import MetricsRegistry
+
+        registry = MetricsRegistry()
+        for seconds in (0.25, 0.5, 0.75):
+            registry.timer("kernel.RNNLevelFunction.backward").observe(seconds)
+        registry.timer("never.observed")
+        summary = summarize_records(
+            [{"type": "snapshot", "metrics": registry.snapshot()}])
+        assert list(summary["timers"]) == ["kernel.RNNLevelFunction.backward"]
+        entry = summary["timers"]["kernel.RNNLevelFunction.backward"]
+        assert entry == {"count": 3, "total_s": pytest.approx(1.5),
+                         "mean_s": pytest.approx(0.5)}
+
+    def test_last_snapshot_wins(self):
+        def record(count, total):
+            return {"type": "snapshot", "metrics": {"timers": {
+                "t": {"count": count, "total": total, "last": 0.1}}}}
+
+        summary = summarize_records([record(1, 0.1), record(4, 2.0)])
+        assert summary["timers"]["t"]["count"] == 4
+
+    def test_render_lists_each_timer(self):
+        record = {"type": "snapshot", "metrics": {"timers": {
+            "kernel.RNNLevelFunction.backward":
+                {"count": 4, "total": 2.0, "last": 0.5}}}}
+        text = render_summary(summarize_records([record]))
+        assert "timers (count / total / mean):" in text
+        line = next(l for l in text.splitlines()
+                    if "kernel.RNNLevelFunction.backward" in l)
+        assert line.split()[1:] == ["4", "/", "2.0000s", "/", "0.500000s"]
+
+    def test_no_timers_renders_without_section(self):
+        text = render_summary(summarize_records(
+            [snapshot_record(**{"serve.latency": LATENCY})]))
+        assert "timers" not in text

@@ -376,6 +376,8 @@ class TestTelemetryCli:
         text = capsys.readouterr().out
         assert "records:" in text
         assert "2 epochs" in text
+        assert "timers (count / total / mean):" in text
+        assert "kernel.RNNLevelFunction.backward" in text
 
     def test_summarize_missing_file_fails(self, tmp_path, capsys):
         assert main(["telemetry", "summarize",
